@@ -106,9 +106,13 @@ cluster-chaos-smoke:
 load:
 	$(GO) run ./cmd/reese-load -self 2 -rps 2,5,10,20 -step 5s -out "$(LOAD_OUT)" -label "$(BENCH_LABEL)"
 
-# Short fuzz pass over the journal replayer (torn tails, garbage).
+# Short fuzz passes over the write-ahead-log replayers (torn tails,
+# garbage, hostile records): the shared log core, the job journal, and
+# the cluster campaign WAL, 30 s each.
 fuzz:
+	$(GO) test ./internal/wal/ -run '^FuzzReplay$$' -fuzz '^FuzzReplay$$' -fuzztime 30s
 	$(GO) test ./internal/server/ -run FuzzReplayJournal -fuzz FuzzReplayJournal -fuzztime 30s
+	$(GO) test ./internal/cluster/ -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime 30s
 
 claims:
 	$(GO) run ./cmd/reese-sweep -figure claims

@@ -86,23 +86,18 @@ func run() int {
 		return 2
 	}
 	if *workersStr != "" {
-		return runDistributed(distributedArgs{
-			workers:        splitWorkers(*workersStr),
-			workload:       *workloadName,
-			injections:     *injections,
-			seed:           *seed,
-			targetInsts:    *targetInsts,
-			ckInterval:     *ckInterval,
-			shardSize:      *shardSize,
-			structs:        structs,
-			jsonOut:        *jsonOut,
-			triage:         *triage,
-			triageDetected: *triageDet,
-			triageDir:      *triageDir,
-		})
+		return runDistributed(splitWorkers(*workersStr), cluster.Campaign{
+			Workload:           *workloadName,
+			Injections:         *injections,
+			Seed:               *seed,
+			TargetInsts:        *targetInsts,
+			CheckpointInterval: *ckInterval,
+			ShardSize:          *shardSize,
+			Triage:             *triage,
+			TriageDetected:     *triageDet,
+		}, structs, *jsonOut, *triageDir)
 	}
 
-	workloads := []string{*workloadName}
 	if *workloadName == "" {
 		// No single workload selected: run the full REESE-vs-baseline
 		// comparison across all six.
@@ -137,68 +132,64 @@ func run() int {
 	}
 
 	var reports []harness.CampaignReport
-	for _, w := range workloads {
-		for _, cfg := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
-			if *ecc {
-				cfg.Memory.L2.ECC = true
-			}
-			spec := harness.CampaignSpec{
-				Workload:           w,
-				Machine:            cfg,
-				Injections:         *injections,
-				Seed:               *seed,
-				TargetInsts:        *targetInsts,
-				CheckpointInterval: *ckInterval,
-				Triage:             *triage,
-				TriageDetected:     *triageDet,
-			}
-			if len(structs) > 0 {
-				spec.Structures = usable(structs, cfg)
-			}
-			if sink != nil || *triage || *triageDet {
-				// Traces are persisted (and trace_path stamped) inside the
-				// sink, before the record is encoded, so the JSONL line
-				// already points at its artifact.
-				enc, dir, machine := sink, *triageDir, cfg.Name
-				spec.TrialSink = func(t harness.Trial) error {
-					if t.Triage != nil && dir != "" {
-						path, err := writeTrace(dir, machine, t.Index, t.Triage.Trace)
-						if err != nil {
-							return err
-						}
-						t.Triage.TracePath = path
-					}
-					if enc != nil {
-						if err := enc.Encode(&t); err != nil {
-							return err
-						}
-					}
-					if t.Triage != nil {
-						// Every consumer of the blob in this front end has
-						// run (trace file written, JSONL line emitted); drop
-						// it so hundreds of escapes' traces don't sit on the
-						// heap for the rest of the run. The attribution
-						// fields stay on the record for the summary table.
-						t.Triage.Trace = nil
-					}
-					return nil
-				}
-			}
-			r, err := harness.Campaign(spec, opt)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "reese-faults:", err)
-				return 1
-			}
-			// A triage trace that wrapped its ring evicted early events;
-			// say so instead of letting a partial record pass as complete.
-			for ti := range r.Trials {
-				if tg := r.Trials[ti].Triage; tg != nil && tg.TraceDropped > 0 {
-					fmt.Fprintf(os.Stderr, "reese-faults: warning: trial %d triage trace wrapped (%d events evicted); the trace is a partial record\n",
-						r.Trials[ti].Index, tg.TraceDropped)
-				}
-			}
-			reports = append(reports, *r)
+	for _, cfg := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
+		if *ecc {
+			cfg.Memory.L2.ECC = true
 		}
+		spec := harness.CampaignSpec{
+			Workload:           *workloadName,
+			Machine:            cfg,
+			Injections:         *injections,
+			Seed:               *seed,
+			TargetInsts:        *targetInsts,
+			CheckpointInterval: *ckInterval,
+			Triage:             *triage,
+			TriageDetected:     *triageDet,
+			Structures:         harness.HostableStructures(structs, cfg),
+		}
+		if sink != nil || *triage || *triageDet {
+			// Traces are persisted (and trace_path stamped) inside the
+			// sink, before the record is encoded, so the JSONL line
+			// already points at its artifact.
+			enc, dir, machine := sink, *triageDir, cfg.Name
+			spec.TrialSink = func(t harness.Trial) error {
+				if t.Triage != nil && dir != "" {
+					path, err := writeTrace(dir, machine, t.Index, t.Triage.Trace)
+					if err != nil {
+						return err
+					}
+					t.Triage.TracePath = path
+				}
+				if enc != nil {
+					if err := enc.Encode(&t); err != nil {
+						return err
+					}
+				}
+				if t.Triage != nil {
+					// Every consumer of the blob in this front end has
+					// run (trace file written, JSONL line emitted); drop
+					// it so hundreds of escapes' traces don't sit on the
+					// heap for the rest of the run. The attribution
+					// fields stay on the record for the summary table.
+					t.Triage.Trace = nil
+				}
+				return nil
+			}
+		}
+		r, err := harness.Campaign(spec, opt)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "reese-faults:", err)
+			return 1
+		}
+		// A triage trace that wrapped its ring evicted early events;
+		// say so instead of letting a partial record pass as complete.
+		for ti := range r.Trials {
+			if tg := r.Trials[ti].Triage; tg != nil && tg.TraceDropped > 0 {
+				fmt.Fprintf(os.Stderr, "reese-faults: warning: trial %d triage trace wrapped (%d events evicted); the trace is a partial record\n",
+					r.Trials[ti].Index, tg.TraceDropped)
+			}
+		}
+		reports = append(reports, *r)
 	}
 	if *jsonOut {
 		return emitJSON(reports)
@@ -233,31 +224,17 @@ func splitWorkers(s string) []string {
 	return out
 }
 
-type distributedArgs struct {
-	workers        []string
-	workload       string
-	injections     int
-	seed           uint64
-	targetInsts    uint64
-	ckInterval     uint64
-	shardSize      int
-	structs        []fault.Struct
-	jsonOut        bool
-	triage         bool
-	triageDetected bool
-	triageDir      string
-}
-
 // runDistributed shards the campaign across reese-serve replicas via
 // the cluster coordinator and prints the merged reports — the same
 // REESE-vs-baseline pair the local path produces, byte-identical to a
-// single-process run with the same seed.
-func runDistributed(a distributedArgs) int {
-	if a.workload == "" {
+// single-process run with the same seed. base carries everything but
+// the machine and the structures hostable on it.
+func runDistributed(workers []string, base cluster.Campaign, structs []fault.Struct, jsonOut bool, triageDir string) int {
+	if base.Workload == "" {
 		fmt.Fprintln(os.Stderr, "reese-faults: -workers requires -workload (pick one benchmark to shard)")
 		return 2
 	}
-	cfg := cluster.Config{Workers: a.workers, ShardSize: a.shardSize}
+	cfg := cluster.Config{Workers: workers}
 	cfg.OnEvent = func(ev cluster.Event) {
 		if ev.Type == "completed" || ev.Type == "reassigned" {
 			fmt.Fprintf(os.Stderr, "reese-faults: shard %d %s on %s (%d/%d shards, %d/%d trials, %.1fs)\n",
@@ -267,24 +244,12 @@ func runDistributed(a distributedArgs) int {
 	}
 	var reports []harness.CampaignReport
 	for _, m := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
-		machine := m
-		var names []string
-		if len(a.structs) > 0 {
-			for _, st := range usable(a.structs, machine) {
-				names = append(names, st.String())
-			}
+		machine, campaign := m, base
+		campaign.Machine = &machine
+		for _, st := range harness.HostableStructures(structs, machine) {
+			campaign.Structures = append(campaign.Structures, st.String())
 		}
-		rep, err := cluster.Run(context.Background(), cfg, cluster.Campaign{
-			Workload:           a.workload,
-			Machine:            &machine,
-			Structures:         names,
-			Injections:         a.injections,
-			Seed:               a.seed,
-			TargetInsts:        a.targetInsts,
-			CheckpointInterval: a.ckInterval,
-			Triage:             a.triage,
-			TriageDetected:     a.triageDetected,
-		})
+		rep, err := cluster.Run(context.Background(), cfg, campaign)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reese-faults:", err)
 			return 1
@@ -294,8 +259,8 @@ func runDistributed(a distributedArgs) int {
 			if tg == nil {
 				continue
 			}
-			if a.triageDir != "" && len(tg.Trace) > 0 {
-				path, werr := writeTrace(a.triageDir, machine.Name, rep.Trials[ti].Index, tg.Trace)
+			if triageDir != "" && len(tg.Trace) > 0 {
+				path, werr := writeTrace(triageDir, machine.Name, rep.Trials[ti].Index, tg.Trace)
 				if werr != nil {
 					fmt.Fprintln(os.Stderr, "reese-faults:", werr)
 					return 1
@@ -305,13 +270,13 @@ func runDistributed(a distributedArgs) int {
 		}
 		reports = append(reports, *rep)
 	}
-	if a.jsonOut {
+	if jsonOut {
 		return emitJSON(reports)
 	}
 	for i := range reports {
 		fmt.Println(reports[i].Table())
 		fmt.Printf("throughput: %d injections in %.2fs wall across %d workers (%.0f injections/s)\n\n",
-			reports[i].Injected, reports[i].WallSeconds, len(a.workers), reports[i].InjectionsPerSec)
+			reports[i].Injected, reports[i].WallSeconds, len(workers), reports[i].InjectionsPerSec)
 	}
 	return 0
 }
@@ -359,25 +324,6 @@ func parseStructures(s string) ([]fault.Struct, error) {
 	return out, nil
 }
 
-// usable drops RSQ-only structures when cfg has no R-stream Queue, so
-// one -structures list works for both halves of the comparison.
-func usable(structs []fault.Struct, cfg config.Machine) []fault.Struct {
-	rsq := cfg.Reese.Enabled && cfg.Reese.Mode != config.ModeDupDispatch
-	var out []fault.Struct
-	for _, st := range structs {
-		if st.NeedsRSQ() && !rsq {
-			continue
-		}
-		out = append(out, st)
-	}
-	if len(out) == 0 {
-		// Only RSQ structures were requested and this machine has none;
-		// fall back to the result structure so the campaign is non-empty.
-		out = []fault.Struct{fault.StructResult}
-	}
-	return out
-}
-
 func emitJSON(reports []harness.CampaignReport) int {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -386,6 +332,15 @@ func emitJSON(reports []harness.CampaignReport) int {
 		return 1
 	}
 	return 0
+}
+
+// gate collects a smoke run's assertion failures.
+type gate struct{ failed bool }
+
+// fail reports one failed assertion.
+func (g *gate) fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "FAIL: "+format+"\n", args...)
+	g.failed = true
 }
 
 // runSmoke is the CI gate: a small seeded campaign on the REESE machine
@@ -404,26 +359,22 @@ func runSmoke(seed uint64, opt harness.Options) int {
 		return 1
 	}
 	fmt.Println(rep.Table())
-	failed := false
+	var g gate
 	if got := rep.Total(); got != rep.Injected {
-		fmt.Fprintf(os.Stderr, "FAIL: outcome counts sum to %d, want %d injected\n", got, rep.Injected)
-		failed = true
+		g.fail("outcome counts sum to %d, want %d injected", got, rep.Injected)
 	}
 	for _, s := range rep.Structures {
 		if s.Structure == fault.StructResult.String() && s.Coverage < 1 {
-			fmt.Fprintf(os.Stderr, "FAIL: result-structure coverage %.1f%%, want 100%%\n", s.Coverage*100)
-			failed = true
+			g.fail("result-structure coverage %.1f%%, want 100%%", s.Coverage*100)
 		}
 		if s.InSphere && s.SDC > 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: in-sphere structure %s let %d faults through as SDC\n", s.Structure, s.SDC)
-			failed = true
+			g.fail("in-sphere structure %s let %d faults through as SDC", s.Structure, s.SDC)
 		}
 		if s.InSphere && s.Hang > 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: in-sphere structure %s hung %d runs\n", s.Structure, s.Hang)
-			failed = true
+			g.fail("in-sphere structure %s hung %d runs", s.Structure, s.Hang)
 		}
 	}
-	if failed {
+	if g.failed {
 		return 3
 	}
 	fmt.Println("smoke OK: all injections classified, result coverage 100%, no in-sphere SDC or hangs")
@@ -454,7 +405,7 @@ func runTriageSmoke(seed uint64, opt harness.Options) int {
 		return 1
 	}
 	fmt.Println(rep.Table())
-	failed := false
+	var g gate
 	escapes := 0
 	for i := range rep.Trials {
 		t := &rep.Trials[i]
@@ -464,43 +415,34 @@ func runTriageSmoke(seed uint64, opt harness.Options) int {
 		escapes++
 		tg := t.Triage
 		if tg == nil {
-			fmt.Fprintf(os.Stderr, "FAIL: trial %d (%s, %s) escaped without a triage record\n", t.Index, t.Structure, t.Outcome)
-			failed = true
+			g.fail("trial %d (%s, %s) escaped without a triage record", t.Index, t.Structure, t.Outcome)
 			continue
 		}
 		if !tg.ReplayOK {
-			fmt.Fprintf(os.Stderr, "FAIL: trial %d triage replay did not reproduce the original run\n", t.Index)
-			failed = true
+			g.fail("trial %d triage replay did not reproduce the original run", t.Index)
 		}
 		if len(tg.Trace) == 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: trial %d triage record has no trace artifact\n", t.Index)
-			failed = true
+			g.fail("trial %d triage record has no trace artifact", t.Index)
 		} else if !bytes.Contains(tg.Trace, []byte(`"FAULT`)) {
-			fmt.Fprintf(os.Stderr, "FAIL: trial %d trace has no injection marker\n", t.Index)
-			failed = true
+			g.fail("trial %d trace has no injection marker", t.Index)
 		}
 		if t.Outcome == "sdc" && tg.FirstDivergence == nil {
-			fmt.Fprintf(os.Stderr, "FAIL: trial %d is an SDC with no first-divergence attribution\n", t.Index)
-			failed = true
+			g.fail("trial %d is an SDC with no first-divergence attribution", t.Index)
 		}
 		if d := tg.FirstDivergence; d != nil && d.Seq < t.Seq {
-			fmt.Fprintf(os.Stderr, "FAIL: trial %d first divergence at seq %d precedes the victim seq %d\n", t.Index, d.Seq, t.Seq)
-			failed = true
+			g.fail("trial %d first divergence at seq %d precedes the victim seq %d", t.Index, d.Seq, t.Seq)
 		}
 		if t.Outcome == "hang" && tg.HangPeriod == 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: trial %d is a hang with no detected loop period\n", t.Index)
-			failed = true
+			g.fail("trial %d is a hang with no detected loop period", t.Index)
 		}
 	}
 	if escapes == 0 {
-		fmt.Fprintln(os.Stderr, "FAIL: campaign produced no escapes; the triage gate exercised nothing")
-		failed = true
+		g.fail("campaign produced no escapes; the triage gate exercised nothing")
 	}
 	if rep.Triaged == 0 || rep.Diverged == 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: report triage totals empty (triaged %d, diverged %d)\n", rep.Triaged, rep.Diverged)
-		failed = true
+		g.fail("report triage totals empty (triaged %d, diverged %d)", rep.Triaged, rep.Diverged)
 	}
-	if failed {
+	if g.failed {
 		return 3
 	}
 	fmt.Printf("triage-smoke OK: %d escapes triaged (%d diverged), every trace carries injection and divergence markers\n",
@@ -547,27 +489,23 @@ func runMemSmoke(seed uint64, opt harness.Options) int {
 	}
 	fmt.Println(rep.Table())
 	fmt.Println(rep.LevelsTable())
-	failed := false
+	var g gate
 	if got := rep.Total(); got != rep.Injected {
-		fmt.Fprintf(os.Stderr, "FAIL: outcome counts sum to %d, want %d injected\n", got, rep.Injected)
-		failed = true
+		g.fail("outcome counts sum to %d, want %d injected", got, rep.Injected)
 	}
 	// Single-bit L2 faults (bit < 32) must never escape a SECDED L2.
 	for _, t := range rep.Trials {
 		if t.Structure == fault.StructL2Line.String() && t.Bit < 32 && t.Outcome == "sdc" {
-			fmt.Fprintf(os.Stderr, "FAIL: single-bit L2 fault (trial %d, bit %d) escaped ECC as SDC\n", t.Index, t.Bit)
-			failed = true
+			g.fail("single-bit L2 fault (trial %d, bit %d) escaped ECC as SDC", t.Index, t.Bit)
 		}
 	}
 	if rep.Localized == 0 {
-		fmt.Fprintln(os.Stderr, "FAIL: no trials were localized")
-		failed = true
+		g.fail("no trials were localized")
 	} else if rep.LocAccuracy < 0.90 {
-		fmt.Fprintf(os.Stderr, "FAIL: localization accuracy %.1f%% over %d trials, want >= 90%%\n",
+		g.fail("localization accuracy %.1f%% over %d trials, want >= 90%%",
 			rep.LocAccuracy*100, rep.Localized)
-		failed = true
 	}
-	if failed {
+	if g.failed {
 		return 3
 	}
 	fmt.Printf("mem-smoke OK: %d injections classified six ways, ECC absorbed all single-bit L2 faults, localization %.1f%% over %d trials\n",

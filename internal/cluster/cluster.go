@@ -30,6 +30,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -193,7 +194,8 @@ func (c Config) withDefaults() Config {
 // maxShardCount mirrors the worker-side per-shard trial cap.
 const maxShardCount = 5_000
 
-// shardSpecs splits the campaign into contiguous ShardSpecs.
+// shardSpecs splits the campaign into contiguous [offset, count] windows
+// and builds their ShardSpecs.
 func shardSpecs(req Campaign, workers, defaultSize int) []server.ShardSpec {
 	size := req.ShardSize
 	if size <= 0 {
@@ -210,27 +212,11 @@ func shardSpecs(req Campaign, workers, defaultSize int) []server.ShardSpec {
 	if size > maxShardCount {
 		size = maxShardCount
 	}
-	var specs []server.ShardSpec
+	var windows [][2]int
 	for off := 0; off < req.Injections; off += size {
-		count := size
-		if off+count > req.Injections {
-			count = req.Injections - off
-		}
-		specs = append(specs, server.ShardSpec{
-			Workload:           req.Workload,
-			Machine:            req.Machine,
-			Structures:         req.Structures,
-			Injections:         req.Injections,
-			Seed:               req.Seed,
-			TargetInsts:        req.TargetInsts,
-			CheckpointInterval: req.CheckpointInterval,
-			ShardOffset:        off,
-			ShardCount:         count,
-			Triage:             req.Triage,
-			TriageDetected:     req.TriageDetected,
-		})
+		windows = append(windows, [2]int{off, min(size, req.Injections-off)})
 	}
-	return specs
+	return specsFromWindows(req, windows)
 }
 
 // Run executes the campaign across the configured workers and returns
@@ -890,29 +876,9 @@ func (c *coordinator) postBatch(ctx context.Context, url string, batch server.Ba
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/faults/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		return nil, newBusyError(resp)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("batch submit: %s: %s", resp.Status, truncate(raw))
-	}
 	var out server.BatchResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("batch submit: decode: %w", err)
+	if err := c.call(ctx, http.MethodPost, url+"/v1/faults/batch", body, &out, "batch submit", http.StatusOK); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -920,32 +886,45 @@ func (c *coordinator) postBatch(ctx context.Context, url string, batch server.Ba
 // getJob long-polls one job. The job endpoint answers 200 (terminal),
 // 202 (still going), or 500 (failed) — all three carry a JobView.
 func (c *coordinator) getJob(ctx context.Context, url, id string) (*server.JobView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/jobs/%s?wait=%s", url, id, c.cfg.PollWait), nil)
+	var v server.JobView
+	err := c.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/jobs/%s?wait=%s", url, id, c.cfg.PollWait), nil, &v,
+		"poll job "+id, http.StatusOK, http.StatusAccepted, http.StatusInternalServerError)
 	if err != nil {
 		return nil, err
 	}
+	return &v, nil
+}
+
+// call does one worker round trip and decodes the JSON reply into out.
+// A 503 is a busyError (alive but shedding); any status outside ok is
+// an error labelled with what.
+func (c *coordinator) call(ctx context.Context, method, url string, body []byte, out any, what string, ok ...int) error {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusAccepted, http.StatusInternalServerError:
-	case http.StatusServiceUnavailable:
-		return nil, newBusyError(resp)
-	default:
-		return nil, fmt.Errorf("poll job %s: %s: %s", id, resp.Status, truncate(raw))
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		return newBusyError(resp)
 	}
-	var v server.JobView
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, fmt.Errorf("poll job %s: decode: %w", id, err)
+	if !slices.Contains(ok, resp.StatusCode) {
+		return fmt.Errorf("%s: %s: %s", what, resp.Status, truncate(raw))
 	}
-	return &v, nil
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("%s: decode: %w", what, err)
+	}
+	return nil
 }
 
 func truncate(b []byte) string {

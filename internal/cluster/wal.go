@@ -3,9 +3,9 @@ package cluster
 // Coordinator write-ahead log: the crash-safety half of the cluster
 // contract. The worker-side job journal (internal/server/journal.go)
 // makes a single replica's accepted work durable; this file applies
-// the same idiom — append-only JSON lines, fsync per record, torn-
-// tail-tolerant replay — to the coordinator, whose loss previously
-// forfeited an entire campaign.
+// the same log core (internal/wal: append-only JSON lines, fsync per
+// record, torn-tail-tolerant replay, atomic file writes) to the
+// coordinator, whose loss previously forfeited an entire campaign.
 //
 // One campaign is one WAL file, keyed by a resume token:
 //
@@ -31,20 +31,19 @@ package cluster
 // never invent it.
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"time"
 
 	"reese/internal/server"
+	"reese/internal/wal"
 )
 
 // WAL record types.
@@ -69,15 +68,13 @@ type walRecord struct {
 }
 
 // campaignWAL is the append handle for one campaign's journal.
-// Appends arrive from every worker loop concurrently; mu serializes
-// them so records never interleave mid-line.
+// Appends arrive from every worker loop concurrently; the log core
+// serializes them so records never interleave mid-line.
 type campaignWAL struct {
 	path      string
 	shardsDir string
 	log       *slog.Logger
-
-	mu sync.Mutex
-	f  *os.File
+	journal   *wal.Log
 }
 
 // walState is a campaign reconstructed from its WAL: the journaled
@@ -136,7 +133,7 @@ func sanitizeToken(token string) string {
 // campaign; the caller must journal the campaign record via begin
 // before assigning shards.
 func openCampaignWAL(dir, token string, log *slog.Logger) (*campaignWAL, *walState, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, token+".shards"), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("cluster: wal dir: %w", err)
 	}
 	w := &campaignWAL{
@@ -148,8 +145,7 @@ func openCampaignWAL(dir, token string, log *slog.Logger) (*campaignWAL, *walSta
 	if err != nil {
 		return nil, nil, err
 	}
-	w.f, err = os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if w.journal, err = wal.Open(w.path); err != nil {
 		return nil, nil, fmt.Errorf("cluster: open wal: %w", err)
 	}
 	return w, state, nil
@@ -161,49 +157,34 @@ func openCampaignWAL(dir, token string, log *slog.Logger) (*campaignWAL, *walSta
 // campaign record (e.g. only a torn first line survived) replays as
 // fresh.
 func replayWAL(path string) (*walState, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: open wal for replay: %w", err)
-	}
-	defer f.Close()
-
 	var st *walState
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // specs carry full machine configs
-	for sc.Scan() {
-		var rec walRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			break // torn tail from a crash mid-append
-		}
+	err := wal.Replay(path, func(rec walRecord) bool {
 		switch rec.T {
 		case walCampaign:
-			if st != nil {
-				continue // duplicate campaign record: first one wins
-			}
-			if len(rec.Spec) == 0 || len(rec.Shards) == 0 {
-				continue
-			}
-			st = &walState{
-				spec:      append(json.RawMessage(nil), rec.Spec...),
-				windows:   rec.Shards,
-				completed: make(map[int]string),
+			// A duplicate campaign record is ignored: the first one wins.
+			if st == nil && len(rec.Spec) > 0 && len(rec.Shards) > 0 {
+				st = &walState{
+					spec:      append(json.RawMessage(nil), rec.Spec...),
+					windows:   rec.Shards,
+					completed: make(map[int]string),
+				}
 			}
 		case walComplete:
-			if st == nil || rec.Shard < 0 || rec.Shard >= len(st.windows) || rec.Digest == "" {
-				continue
+			if st != nil && rec.Shard >= 0 && rec.Shard < len(st.windows) && rec.Digest != "" {
+				st.completed[rec.Shard] = rec.Digest
 			}
-			st.completed[rec.Shard] = rec.Digest
 		case walAssign:
 			// Observability only; no durable state.
 		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: replay wal: %w", err)
 	}
 	return st, nil
 }
 
-// append writes one record and fsyncs it. Failures are returned for
+// append stamps and journals one record. Failures are returned for
 // the caller to log: a sick disk degrades durability, never the
 // campaign itself.
 func (w *campaignWAL) append(rec walRecord) error {
@@ -211,19 +192,7 @@ func (w *campaignWAL) append(rec walRecord) error {
 		return nil
 	}
 	rec.TS = time.Now().UTC()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("wal closed")
-	}
-	if _, err := w.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return w.f.Sync()
+	return w.journal.Append(rec)
 }
 
 // begin journals the campaign record: the canonical spec and the
@@ -246,10 +215,10 @@ func (w *campaignWAL) appendAssign(shard int, worker string) error {
 	return w.append(walRecord{T: walAssign, Shard: shard, Worker: worker})
 }
 
-// appendComplete persists one shard's payload — bytes first
-// (temp + fsync + rename into the content-addressed file), record
-// second — so a complete record in the journal always points at a
-// durable, verifiable payload.
+// appendComplete persists one shard's payload — bytes first (an
+// atomic write of the content-addressed file), record second — so a
+// complete record in the journal always points at a durable,
+// verifiable payload.
 func (w *campaignWAL) appendComplete(shard int, p *server.ShardPayload) error {
 	if w == nil {
 		return nil
@@ -260,44 +229,16 @@ func (w *campaignWAL) appendComplete(shard int, p *server.ShardPayload) error {
 	}
 	sum := sha256.Sum256(raw)
 	digest := hex.EncodeToString(sum[:])
-	if err := w.writePayloadFile(digest, raw); err != nil {
-		return err
+	// Content-addressed: a file already under this name holds these
+	// bytes. Two workers finishing the same reassigned shard may both
+	// write it; each uses its own temp file and either rename wins.
+	final := filepath.Join(w.shardsDir, digest+".json")
+	if _, err := os.Stat(final); err != nil {
+		if err := wal.WriteFile(final, raw); err != nil {
+			return err
+		}
 	}
 	return w.append(walRecord{T: walComplete, Shard: shard, Digest: digest})
-}
-
-// writePayloadFile durably stores one payload under its own hash.
-// Serialized by mu so two workers finishing the same reassigned shard
-// cannot race on the temp file.
-func (w *campaignWAL) writePayloadFile(digest string, raw []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := os.MkdirAll(w.shardsDir, 0o755); err != nil {
-		return err
-	}
-	final := filepath.Join(w.shardsDir, digest+".json")
-	if _, err := os.Stat(final); err == nil {
-		return nil // content-addressed: already durable
-	}
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, final)
 }
 
 // loadPayload reads one completed shard's payload back, verifying the
@@ -325,13 +266,7 @@ func (w *campaignWAL) close() {
 	if w == nil {
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return
-	}
-	w.f.Close()
-	w.f = nil
+	w.journal.Close()
 }
 
 // finish removes the campaign's journal and payload files after the
@@ -375,34 +310,32 @@ func ResumeCampaigns(ctx context.Context, cfg Config) []ResumedCampaign {
 		return out
 	}
 	for _, path := range matches {
-		token := filepath.Base(path)
-		token = token[:len(token)-len(".wal")]
-		rc := ResumedCampaign{Token: token}
-		st, rerr := replayWAL(path)
-		if rerr != nil || st == nil {
-			rc.Err = fmt.Errorf("cluster: unreadable wal %s: %v", path, rerr)
-			out = append(out, rc)
-			continue
-		}
-		var req Campaign
-		if err := json.Unmarshal(st.spec, &req); err != nil {
-			rc.Err = fmt.Errorf("cluster: wal %s spec: %w", path, err)
-			out = append(out, rc)
-			continue
-		}
-		req.ResumeToken = token
-		rep, rerr2 := Run(ctx, cfg, req)
-		if rerr2 != nil {
-			rc.Err = rerr2
-			out = append(out, rc)
-			continue
-		}
-		raw, _ := json.MarshalIndent(rep, "", "  ")
-		rc.ReportPath = filepath.Join(cfg.WALDir, token+".report.json")
-		if werr := os.WriteFile(rc.ReportPath, append(raw, '\n'), 0o644); werr != nil {
-			rc.Err = werr
-		}
-		out = append(out, rc)
+		out = append(out, resumeCampaign(ctx, cfg, path))
 	}
 	return out
+}
+
+// resumeCampaign finishes the campaign journaled at path.
+func resumeCampaign(ctx context.Context, cfg Config, path string) (rc ResumedCampaign) {
+	rc.Token = strings.TrimSuffix(filepath.Base(path), ".wal")
+	st, err := replayWAL(path)
+	if err != nil || st == nil {
+		rc.Err = fmt.Errorf("cluster: unreadable wal %s: %v", path, err)
+		return rc
+	}
+	var req Campaign
+	if err := json.Unmarshal(st.spec, &req); err != nil {
+		rc.Err = fmt.Errorf("cluster: wal %s spec: %w", path, err)
+		return rc
+	}
+	req.ResumeToken = rc.Token
+	rep, err := Run(ctx, cfg, req)
+	if err != nil {
+		rc.Err = err
+		return rc
+	}
+	raw, _ := json.MarshalIndent(rep, "", "  ")
+	rc.ReportPath = filepath.Join(cfg.WALDir, rc.Token+".report.json")
+	rc.Err = wal.WriteFile(rc.ReportPath, append(raw, '\n'))
+	return rc
 }

@@ -275,3 +275,38 @@ func TestSanitizeToken(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReplayWAL: no WAL content — valid, torn, hostile — may panic the
+// replayer, return state without a campaign record, or report a
+// completed shard outside the journaled windows. The WAL can lose work,
+// never invent it.
+func FuzzReplayWAL(f *testing.F) {
+	f.Add([]byte(`{"t":"campaign","spec":{"workload":"li"},"shards":[[0,5],[5,5]],"shard":0}` + "\n" +
+		`{"t":"assign","shard":1,"worker":"http://w"}` + "\n" +
+		`{"t":"complete","shard":1,"digest":"ab"}` + "\n"))
+	f.Add([]byte(`{"t":"complete","shard":0,"digest":"ab"}` + "\n"))
+	f.Add([]byte(`{"t":"campaign","spec":{},"shards":[[0,1]],"shard":0}` + "\n" + `{"t":"complete","shard":7,"dig`))
+	f.Add([]byte("\x00\x01\x02"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip()
+		}
+		st, err := replayWAL(path)
+		if err != nil {
+			t.Fatalf("replay must tolerate any content, got %v", err)
+		}
+		if st == nil {
+			return
+		}
+		if len(st.spec) == 0 || len(st.windows) == 0 {
+			t.Fatalf("state without a campaign record: spec %q windows %v", st.spec, st.windows)
+		}
+		for idx, digest := range st.completed {
+			if idx < 0 || idx >= len(st.windows) || digest == "" {
+				t.Fatalf("completed shard %d (digest %q) outside %d journaled windows", idx, digest, len(st.windows))
+			}
+		}
+	})
+}

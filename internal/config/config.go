@@ -180,6 +180,12 @@ type ReeseConfig struct {
 	RESO bool
 }
 
+// HasRSQ reports whether the machine has an R-stream Queue: REESE
+// enabled in RSQ mode (duplicate-at-dispatch has no queue).
+func (m Machine) HasRSQ() bool {
+	return m.Reese.Enabled && m.Reese.Mode != ModeDupDispatch
+}
+
 // Validate checks the configuration for consistency.
 func (m Machine) Validate() error {
 	if m.FetchQueueSize < 1 {

@@ -124,16 +124,28 @@ func (s CampaignSpec) withDefaults() (_ CampaignSpec, defaulted bool) {
 		s.CheckpointInterval = DefaultCheckpointInterval
 	}
 	if len(s.Structures) == 0 {
-		s.Structures = fault.Structures(s.rsq())
+		s.Structures = fault.Structures(s.Machine.HasRSQ())
 		defaulted = true
 	}
 	return s, defaulted
 }
 
-// rsq reports whether the machine has an R-stream Queue (the RSQ fault
-// structures only exist there).
-func (s CampaignSpec) rsq() bool {
-	return s.Machine.Reese.Enabled && s.Machine.Reese.Mode != config.ModeDupDispatch
+// HostableStructures filters a requested structure list down to those
+// machine m can host (the RSQ structures need an R-stream Queue), so one
+// list serves both halves of a REESE-vs-baseline comparison. When none
+// survive it falls back to the result structure, keeping the campaign
+// non-empty; an empty request stays empty (the campaign default).
+func HostableStructures(structs []fault.Struct, m config.Machine) []fault.Struct {
+	var out []fault.Struct
+	for _, st := range structs {
+		if !st.NeedsRSQ() || m.HasRSQ() {
+			out = append(out, st)
+		}
+	}
+	if len(out) == 0 && len(structs) > 0 {
+		out = []fault.Struct{fault.StructResult}
+	}
+	return out
 }
 
 // Trial is one injected run: where the fault landed and what became of
@@ -710,7 +722,7 @@ func Campaign(spec CampaignSpec, opt Options) (*CampaignReport, error) {
 		if st >= fault.NumStructs {
 			return nil, fmt.Errorf("harness: unknown fault structure %d", st)
 		}
-		if st.NeedsRSQ() && !spec.rsq() {
+		if st.NeedsRSQ() && !spec.Machine.HasRSQ() {
 			return nil, fmt.Errorf("harness: structure %s requires an R-stream Queue; machine %s has none", st, spec.Machine.Name)
 		}
 	}
@@ -738,17 +750,19 @@ func Campaign(spec CampaignSpec, opt Options) (*CampaignReport, error) {
 
 	// Plan the trials up front. Each trial is a pure function of
 	// (seed, index) — see trialRNG — so the plan depends only on the
-	// spec, and a shard plans just its own slice of the same plan.
-	offset, count := 0, spec.Injections
+	// spec, and a shard plans just its own slice of the same plan. An
+	// unsharded campaign is the one shard covering the whole plan.
+	shard := ShardRange{Count: spec.Injections}
 	if spec.Shard != nil {
 		if err := spec.Shard.validate(spec.Injections); err != nil {
 			return nil, err
 		}
-		offset, count = spec.Shard.Offset, spec.Shard.Count
+		shard = *spec.Shard
 	}
-	trials := make([]Trial, count)
+	shard.Plan = spec.Injections
+	trials := make([]Trial, shard.Count)
 	for i := range trials {
-		trials[i] = planTrial(spec.Seed, offset+i, spec.Structures, g)
+		trials[i] = planTrial(spec.Seed, shard.Offset+i, spec.Structures, g)
 	}
 
 	// Execute. Each trial is independent and forks from the bundle's
@@ -800,39 +814,55 @@ func Campaign(spec CampaignSpec, opt Options) (*CampaignReport, error) {
 		return nil, fmt.Errorf("harness: trial sink: %w", sinkErr)
 	}
 
-	// Aggregate in plan order.
+	rep := shardReport(spec, g.total, shard, trials)
+	if spec.Shard == nil {
+		// A single-process campaign is the one-shard merge, so it is
+		// finalised by exactly the code a distributed campaign is.
+		if rep, err = MergeReports([]*CampaignReport{rep}); err != nil {
+			return nil, err
+		}
+	}
+	rep.WallSeconds = time.Since(start).Seconds()
+	if rep.WallSeconds > 0 {
+		rep.InjectionsPerSec = float64(rep.Injected) / rep.WallSeconds
+	}
+	return rep, nil
+}
+
+// shardReport tallies one shard's executed trials, in plan order, into
+// its report: per-structure integer counts and the width-1
+// detection-latency histogram, from which finalize derives the rest.
+func shardReport(spec CampaignSpec, goldenInsts uint64, shard ShardRange, trials []Trial) *CampaignReport {
 	rep := &CampaignReport{
 		Workload:    spec.Workload,
 		Config:      spec.Machine.Name,
 		Seed:        spec.Seed,
-		GoldenInsts: g.total,
-		Injected:    uint64(len(trials)),
+		GoldenInsts: goldenInsts,
+		Structures:  make([]StructureCoverage, len(spec.Structures)),
+		Shard:       &shard,
 		Trials:      trials,
 	}
-	perStruct := make(map[string]*StructureCoverage, len(spec.Structures))
-	groupOf := make(map[string]string, len(spec.Structures))
-	for _, st := range spec.Structures {
-		sc := &StructureCoverage{Structure: st.String(), InSphere: st.InSphere()}
-		perStruct[st.String()] = sc
-		groupOf[st.String()] = st.LevelGroup()
+	index := make(map[string]int, len(spec.Structures))
+	for i, st := range spec.Structures {
+		rep.Structures[i] = StructureCoverage{Structure: st.String(), InSphere: st.InSphere()}
+		index[st.String()] = i
 	}
 	lat := stats.NewHistogram(1)
 	for i := range trials {
 		t := &trials[i]
-		sc := perStruct[t.Structure]
+		k := index[t.Structure]
+		sc := &rep.Structures[k]
 		sc.Injected++
 		if t.Fired {
 			sc.Fired++
-			rep.Fired++
 		}
 		sc.add(t.outcome)
-		rep.add(t.outcome)
 		if t.outcome == fault.OutcomeDetected || t.outcome == fault.OutcomeRecovered {
 			lat.Add(t.Latency)
 		}
 		if t.Locale != "" {
 			sc.Localized++
-			if t.Locale == groupOf[t.Structure] {
+			if t.Locale == spec.Structures[k].LevelGroup() {
 				sc.LocCorrect++
 			}
 		}
@@ -844,57 +874,69 @@ func Campaign(spec CampaignSpec, opt Options) (*CampaignReport, error) {
 			}
 		}
 	}
-	for _, st := range spec.Structures {
-		sc := perStruct[st.String()]
-		sc.Effective = sc.Injected - sc.Masked
-		caught := sc.Detected + sc.Recovered + sc.Corrected
-		if sc.Effective > 0 {
-			sc.Coverage = float64(caught) / float64(sc.Effective)
-		}
-		sc.CoverageLo, sc.CoverageHi = stats.Wilson95(caught, sc.Effective)
-		rep.Triaged += sc.Triaged
-		rep.Diverged += sc.Diverged
-		rep.Structures = append(rep.Structures, *sc)
+	for _, b := range lat.Buckets() {
+		rep.LatencyHist = append(rep.LatencyHist, LatencyCell{Cycles: b[0], Count: b[1]})
 	}
-	rep.Effective = rep.Injected - rep.Masked
-	caught := rep.Detected + rep.Recovered + rep.Corrected
-	if rep.Effective > 0 {
-		rep.Coverage = float64(caught) / float64(rep.Effective)
-	}
-	rep.CoverageLo, rep.CoverageHi = stats.Wilson95(caught, rep.Effective)
-	rep.finishLocalization()
-	if lat.Count() > 0 {
-		rep.DetectionLatencyMean = lat.Mean()
-		rep.DetectionLatencyP95 = lat.Percentile(95)
-		rep.DetectionLatencyMax = lat.Max()
-	}
-	if spec.Shard != nil {
-		rep.Shard = &ShardRange{Offset: offset, Count: count, Plan: spec.Injections}
-		for _, b := range lat.Buckets() {
-			rep.LatencyHist = append(rep.LatencyHist, LatencyCell{Cycles: b[0], Count: b[1]})
-		}
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
-	if rep.WallSeconds > 0 {
-		rep.InjectionsPerSec = float64(rep.Injected) / rep.WallSeconds
-	}
-	return rep, nil
+	rep.finalize(lat)
+	return rep
 }
 
-// finishLocalization derives the report's localization totals and the
-// per-level rollup from the per-structure counts. Campaign and
-// MergeReports both finish through here, so a merged report's
-// localization section is byte-identical to the single-process one.
-func (r *CampaignReport) finishLocalization() {
-	for _, s := range r.Structures {
-		r.Localized += s.Localized
-		r.LocCorrect += s.LocCorrect
+// addCounts adds o's integer tallies into s.
+func (s *StructureCoverage) addCounts(o *StructureCoverage) {
+	s.Injected += o.Injected
+	s.Fired += o.Fired
+	s.Detected += o.Detected
+	s.Recovered += o.Recovered
+	s.SDC += o.SDC
+	s.Masked += o.Masked
+	s.Hang += o.Hang
+	s.Corrected += o.Corrected
+	s.Localized += o.Localized
+	s.LocCorrect += o.LocCorrect
+	s.Triaged += o.Triaged
+	s.Diverged += o.Diverged
+	s.DivergeCycleSum += o.DivergeCycleSum
+}
+
+// finalize derives every computed field of a freshly assembled report
+// from its per-structure integer counts and its detection-latency
+// histogram: the report totals, Effective, coverage and its Wilson 95%
+// CIs, the latency mean/p95/max, and the localization totals and
+// per-level rollup. Every report Campaign (per shard) or MergeReports
+// builds is finished here exactly once, so a merged report is
+// byte-identical to the single-process one by construction.
+func (r *CampaignReport) finalize(lat *stats.Histogram) {
+	// Coverage is (detected+recovered+corrected)/effective; zero
+	// effective trials give coverage 0 with the vacuous interval [0, 1].
+	cover := func(s *StructureCoverage) {
+		s.Effective = s.Injected - s.Masked
+		caught := s.Detected + s.Recovered + s.Corrected
+		if s.Effective > 0 {
+			s.Coverage = float64(caught) / float64(s.Effective)
+		}
+		s.CoverageLo, s.CoverageHi = stats.Wilson95(caught, s.Effective)
 	}
+	var total StructureCoverage
+	for i := range r.Structures {
+		cover(&r.Structures[i])
+		total.addCounts(&r.Structures[i])
+	}
+	cover(&total)
+	r.Injected, r.Fired, r.Effective = total.Injected, total.Fired, total.Effective
+	r.OutcomeCounts = total.OutcomeCounts
+	r.Coverage, r.CoverageLo, r.CoverageHi = total.Coverage, total.CoverageLo, total.CoverageHi
+	r.Triaged, r.Diverged = total.Triaged, total.Diverged
+	r.Localized, r.LocCorrect = total.Localized, total.LocCorrect
 	if r.Localized > 0 {
 		r.LocAccuracy = float64(r.LocCorrect) / float64(r.Localized)
 		r.LocAccuracyLo, r.LocAccuracyHi = stats.Wilson95(r.LocCorrect, r.Localized)
 	}
 	r.Levels = computeLevels(r.Structures)
+	if lat.Count() > 0 {
+		r.DetectionLatencyMean = lat.Mean()
+		r.DetectionLatencyP95 = lat.Percentile(95)
+		r.DetectionLatencyMax = lat.Max()
+	}
 }
 
 // levelOrder fixes the per-level rollup's row order.
@@ -902,38 +944,32 @@ var levelOrder = []string{"ram", "l1", "l2", "tlb", "pipeline"}
 
 // computeLevels rolls per-structure coverage up by physical plane
 // (fault.Struct.Level). Only levels with injections appear. Pure
-// integer sums plus the same Wilson-interval formulas Campaign uses, so
+// integer sums plus the same Wilson-interval formulas finalize uses, so
 // the rollup is an exact function of the per-structure counts.
 func computeLevels(structures []StructureCoverage) []LevelCoverage {
-	byLevel := make(map[string]*LevelCoverage)
-	for _, s := range structures {
-		st, ok := fault.ParseStruct(s.Structure)
+	byLevel := make(map[string]*StructureCoverage)
+	for i := range structures {
+		st, ok := fault.ParseStruct(structures[i].Structure)
 		if !ok {
 			continue
 		}
-		lv := byLevel[st.Level()]
-		if lv == nil {
-			lv = &LevelCoverage{Level: st.Level()}
-			byLevel[st.Level()] = lv
+		sum := byLevel[st.Level()]
+		if sum == nil {
+			sum = &StructureCoverage{}
+			byLevel[st.Level()] = sum
 		}
-		lv.Injected += s.Injected
-		lv.Fired += s.Fired
-		lv.Detected += s.Detected
-		lv.Recovered += s.Recovered
-		lv.SDC += s.SDC
-		lv.Masked += s.Masked
-		lv.Hang += s.Hang
-		lv.Corrected += s.Corrected
-		lv.Localized += s.Localized
-		lv.LocCorrect += s.LocCorrect
+		sum.addCounts(&structures[i])
 	}
 	var out []LevelCoverage
 	for _, name := range levelOrder {
-		lv := byLevel[name]
-		if lv == nil || lv.Injected == 0 {
+		s := byLevel[name]
+		if s == nil || s.Injected == 0 {
 			continue
 		}
-		lv.Effective = lv.Injected - lv.Masked
+		lv := LevelCoverage{
+			Level: name, Injected: s.Injected, Fired: s.Fired, Effective: s.Injected - s.Masked,
+			OutcomeCounts: s.OutcomeCounts, Localized: s.Localized, LocCorrect: s.LocCorrect,
+		}
 		caught := lv.Detected + lv.Recovered + lv.Corrected
 		if lv.Effective > 0 {
 			lv.Coverage = float64(caught) / float64(lv.Effective)
@@ -945,19 +981,19 @@ func computeLevels(structures []StructureCoverage) []LevelCoverage {
 			lv.LocAccuracy = float64(lv.LocCorrect) / float64(lv.Localized)
 		}
 		lv.LocAccuracyLo, lv.LocAccuracyHi = stats.Wilson95(lv.LocCorrect, lv.Localized)
-		out = append(out, *lv)
+		out = append(out, lv)
 	}
 	return out
 }
 
 // MergeReports reassembles the single-process campaign report from a
 // complete set of shard reports. The merge is exact, not approximate:
-// per-structure outcome counts are integer sums, coverage and its
-// Wilson 95% CI are recomputed from the merged counts with the same
-// formulas Campaign uses, and the detection-latency aggregates are
-// rebuilt from the merged width-1 latency histograms — so for a given
-// seed the merged report is byte-identical (JSON, JSONL, and table) to
-// running the whole campaign in one process, whatever the shard count
+// per-structure outcome counts are integer sums, and coverage, its
+// Wilson 95% CI, localization and the detection-latency aggregates are
+// recomputed by finalize from the merged counts and width-1 latency
+// histograms. A single-process Campaign is itself the one-shard merge,
+// so for a given seed the merged report is byte-identical (JSON, JSONL,
+// and table) to it whatever the shard count
 // (TestMergedShardsByteIdentical pins this for 1, 2, and 8 shards).
 //
 // It validates completeness: the shards must agree on workload, config,
@@ -1017,65 +1053,27 @@ func MergeReports(shards []*CampaignReport) (*CampaignReport, error) {
 
 	// Per-structure integer sums, in the reference shard's order (every
 	// shard ran the same defaulted spec, so the order is identical — the
-	// name check below catches a worker that somehow disagreed).
-	lat := stats.NewHistogram(1)
-	for i := range ref.Structures {
-		sc := StructureCoverage{Structure: ref.Structures[i].Structure, InSphere: ref.Structures[i].InSphere}
-		for _, s := range shards {
-			ss := s.Structures[i]
-			if ss.Structure != sc.Structure {
-				return nil, fmt.Errorf("harness: shard structure order differs (%s vs %s)", ss.Structure, sc.Structure)
-			}
-			sc.Injected += ss.Injected
-			sc.Fired += ss.Fired
-			sc.Detected += ss.Detected
-			sc.Recovered += ss.Recovered
-			sc.SDC += ss.SDC
-			sc.Masked += ss.Masked
-			sc.Hang += ss.Hang
-			sc.Corrected += ss.Corrected
-			sc.Localized += ss.Localized
-			sc.LocCorrect += ss.LocCorrect
-			sc.Triaged += ss.Triaged
-			sc.Diverged += ss.Diverged
-			sc.DivergeCycleSum += ss.DivergeCycleSum
-		}
-		sc.Effective = sc.Injected - sc.Masked
-		caught := sc.Detected + sc.Recovered + sc.Corrected
-		if sc.Effective > 0 {
-			sc.Coverage = float64(caught) / float64(sc.Effective)
-		}
-		sc.CoverageLo, sc.CoverageHi = stats.Wilson95(caught, sc.Effective)
-		rep.Triaged += sc.Triaged
-		rep.Diverged += sc.Diverged
-		rep.Structures = append(rep.Structures, sc)
+	// name check catches a worker that somehow disagreed) and the merged
+	// latency histogram; finalize derives everything else.
+	rep.Structures = make([]StructureCoverage, len(ref.Structures))
+	for i, s := range ref.Structures {
+		rep.Structures[i] = StructureCoverage{Structure: s.Structure, InSphere: s.InSphere}
 	}
+	lat := stats.NewHistogram(1)
 	for _, s := range shards {
-		rep.Injected += s.Injected
-		rep.Fired += s.Fired
-		rep.Detected += s.Detected
-		rep.Recovered += s.Recovered
-		rep.SDC += s.SDC
-		rep.Masked += s.Masked
-		rep.Hang += s.Hang
-		rep.Corrected += s.Corrected
+		for i := range s.Structures {
+			if s.Structures[i].Structure != rep.Structures[i].Structure {
+				return nil, fmt.Errorf("harness: shard structure order differs (%s vs %s)",
+					s.Structures[i].Structure, rep.Structures[i].Structure)
+			}
+			rep.Structures[i].addCounts(&s.Structures[i])
+		}
 		for _, c := range s.LatencyHist {
 			lat.AddN(c.Cycles, c.Count)
 		}
 		rep.Trials = append(rep.Trials, s.Trials...)
 	}
-	rep.Effective = rep.Injected - rep.Masked
-	caught := rep.Detected + rep.Recovered + rep.Corrected
-	if rep.Effective > 0 {
-		rep.Coverage = float64(caught) / float64(rep.Effective)
-	}
-	rep.CoverageLo, rep.CoverageHi = stats.Wilson95(caught, rep.Effective)
-	rep.finishLocalization()
-	if lat.Count() > 0 {
-		rep.DetectionLatencyMean = lat.Mean()
-		rep.DetectionLatencyP95 = lat.Percentile(95)
-		rep.DetectionLatencyMax = lat.Max()
-	}
+	rep.finalize(lat)
 
 	// Completeness: trial indices must tile [0, Injected) exactly. This
 	// is the zero-lost, zero-double-counted guarantee the reassignment
@@ -1100,33 +1098,22 @@ func MergeReports(shards []*CampaignReport) (*CampaignReport, error) {
 // one after another; each parallelizes its own trials on the shared
 // pool.
 func CampaignAll(injections int, seed uint64, opt Options) (string, []CampaignReport, error) {
-	type job struct {
-		name string
-		cfg  config.Machine
-	}
-	var jobs []job
+	machines := []config.Machine{config.Starting().WithReese(), config.Starting()}
+	var all []CampaignReport
 	for _, name := range workload.Names() {
-		jobs = append(jobs, job{name, config.Starting().WithReese()})
-		jobs = append(jobs, job{name, config.Starting()})
-	}
-	all := make([]CampaignReport, 0, len(jobs))
-	for _, j := range jobs {
-		r, err := Campaign(CampaignSpec{
-			Workload:   j.name,
-			Machine:    j.cfg,
-			Injections: injections,
-			Seed:       seed,
-		}, opt)
-		if err != nil {
-			return "", nil, err
+		for _, cfg := range machines {
+			r, err := Campaign(CampaignSpec{Workload: name, Machine: cfg, Injections: injections, Seed: seed}, opt)
+			if err != nil {
+				return "", nil, err
+			}
+			all = append(all, *r)
 		}
-		all = append(all, *r)
 	}
 	t := stats.NewTable("Fault injection: outcome taxonomy by structure (REESE vs baseline)",
 		"bench", "machine", "structure", "inj", "eff", "det", "rec", "sdc", "mask", "hang", "coverage", "95% CI")
 	for i, r := range all {
 		machine := "baseline"
-		if jobs[i].cfg.Reese.Enabled {
+		if machines[i%len(machines)].Reese.Enabled {
 			machine = "REESE"
 		}
 		for _, s := range r.Structures {

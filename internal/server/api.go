@@ -285,7 +285,7 @@ func (r ShardSpec) normalize(lim Limits) (ShardSpec, error) {
 
 // campaignSpec converts the normalized wire form into the harness spec.
 func (r ShardSpec) campaignSpec() harness.CampaignSpec {
-	spec := harness.CampaignSpec{
+	return harness.CampaignSpec{
 		Workload:           r.Workload,
 		Machine:            *r.Machine,
 		Injections:         r.Injections,
@@ -295,13 +295,19 @@ func (r ShardSpec) campaignSpec() harness.CampaignSpec {
 		Triage:             r.Triage,
 		TriageDetected:     r.TriageDetected,
 		Shard:              &harness.ShardRange{Offset: r.ShardOffset, Count: r.ShardCount, Plan: r.Injections},
+		Structures:         parseStructures(r.Structures),
 	}
-	for _, name := range r.Structures {
-		if st, ok := fault.ParseStruct(name); ok {
-			spec.Structures = append(spec.Structures, st)
-		}
+}
+
+// parseStructures maps structure names that normalize has validated to
+// fault structures.
+func parseStructures(names []string) []fault.Struct {
+	var out []fault.Struct
+	for _, name := range names {
+		st, _ := fault.ParseStruct(name)
+		out = append(out, st)
 	}
-	return spec
+	return out
 }
 
 // BatchRequest is the body of POST /v1/faults/batch: several shards

@@ -200,28 +200,12 @@ type panicError struct {
 
 func (e *panicError) Error() string { return "panic: " + e.val }
 
-// runnerConfig is the jobRunner slice of the server Config, defaults
-// already applied.
-type runnerConfig struct {
-	workers          int
-	queueDepth       int
-	maxJobs          int
-	jobTimeout       time.Duration
-	maxTimeout       time.Duration
-	maxRetries       int
-	retryBackoff     time.Duration
-	retryBackoffMax  time.Duration
-	watchdogInterval time.Duration
-	watchdogStall    time.Duration
-	beforeAttempt    func(ctx context.Context, jobID, kind string, attempt int)
-}
-
 // jobRunner owns the queue, the worker pool, the watchdog, the retry
 // scheduler, and the job registry.
 type jobRunner struct {
 	queue   chan *Job
 	rootCtx context.Context
-	cfg     runnerConfig
+	cfg     Config // defaults applied
 	journal *journal
 	log     *slog.Logger
 
@@ -263,13 +247,13 @@ type jobRunner struct {
 // newJobRunner starts the worker pool and (when configured) the
 // watchdog. rootCtx is the server's lifetime: cancelling it aborts
 // every job and ultimately stops the workers.
-func newJobRunner(rootCtx context.Context, cfg runnerConfig, jl *journal, log *slog.Logger, m *Metrics) *jobRunner {
+func newJobRunner(rootCtx context.Context, cfg Config, jl *journal, m *Metrics) *jobRunner {
 	r := &jobRunner{
-		queue:     make(chan *Job, cfg.queueDepth),
+		queue:     make(chan *Job, cfg.QueueDepth),
 		rootCtx:   rootCtx,
 		cfg:       cfg,
 		journal:   jl,
-		log:       log,
+		log:       cfg.Logger,
 		drainNow:  make(chan struct{}),
 		jobs:      make(map[string]*Job),
 		submitted: m.CounterFamily("reese_serve_jobs_submitted_total", "Jobs accepted, by kind.", "kind"),
@@ -283,11 +267,11 @@ func newJobRunner(rootCtx context.Context, cfg runnerConfig, jl *journal, log *s
 	}
 	m.Gauge("reese_serve_jobs_queued", "Jobs waiting in the queue.", func() float64 { return float64(r.queued.Load()) })
 	m.Gauge("reese_serve_jobs_running", "Jobs currently simulating.", func() float64 { return float64(r.running.Load()) })
-	r.wg.Add(cfg.workers)
-	for i := 0; i < cfg.workers; i++ {
+	r.wg.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
 		go r.worker()
 	}
-	if cfg.watchdogStall > 0 {
+	if cfg.WatchdogStall > 0 {
 		go r.watchdog()
 	}
 	return r
@@ -306,10 +290,10 @@ func (r *jobRunner) journalAppend(rec journalRecord) {
 // job is already registered under its ID and journaled.
 func (r *jobRunner) submit(kind, cacheKey string, rawReq json.RawMessage, timeout time.Duration, run runFunc) (*Job, error) {
 	if timeout <= 0 {
-		timeout = r.cfg.jobTimeout
+		timeout = r.cfg.JobTimeout
 	}
-	if timeout > r.cfg.maxTimeout {
-		timeout = r.cfg.maxTimeout
+	if timeout > r.cfg.MaxTimeout {
+		timeout = r.cfg.MaxTimeout
 	}
 	j := &Job{
 		ID:         fmt.Sprintf("j-%06d", r.nextID.Add(1)),
@@ -319,7 +303,7 @@ func (r *jobRunner) submit(kind, cacheKey string, rawReq json.RawMessage, timeou
 		cacheKey:   cacheKey,
 		rawReq:     rawReq,
 		timeout:    timeout,
-		maxRetries: r.cfg.maxRetries,
+		maxRetries: r.cfg.MaxRetries,
 		done:       make(chan struct{}),
 		state:      StateQueued,
 		created:    time.Now(),
@@ -409,13 +393,13 @@ func (r *jobRunner) adoptReplayed(rj replayedJob, run runFunc) *Job {
 		cacheKey:   rj.Key,
 		rawReq:     rj.Req,
 		timeout:    rj.Timeout,
-		maxRetries: r.cfg.maxRetries,
+		maxRetries: r.cfg.MaxRetries,
 		done:       make(chan struct{}),
 		created:    rj.Created,
 		replayed:   true,
 	}
 	if j.timeout <= 0 {
-		j.timeout = r.cfg.jobTimeout
+		j.timeout = r.cfg.JobTimeout
 	}
 	if rj.State.terminal() {
 		j.state = rj.State
@@ -450,7 +434,7 @@ func (r *jobRunner) adoptReplayed(rj replayedJob, run runFunc) *Job {
 // maxJobs, so a long-lived server's job index stays bounded. Live jobs
 // are never evicted.
 func (r *jobRunner) evictLocked() {
-	for len(r.jobs) > r.cfg.maxJobs {
+	for len(r.jobs) > r.cfg.MaxJobs {
 		evicted := false
 		for i, id := range r.order {
 			j, ok := r.jobs[id]
@@ -671,7 +655,7 @@ func (r *jobRunner) runJob(j *Job) {
 	case "watchdog":
 		r.fail.watchdogKills.Inc()
 		cause := fmt.Sprintf("watchdog: no progress for %s at %d committed insts",
-			r.cfg.watchdogStall, j.progress.Load())
+			r.cfg.WatchdogStall, j.progress.Load())
 		closeAttempt(cause, "")
 		r.retryOrFail(j, attemptNo, cause)
 	case "deadline":
@@ -701,8 +685,8 @@ func (r *jobRunner) runAttempt(j *Job, ctx context.Context, attempt int) (out jo
 			r.log.Error("job attempt panicked", "job", j.ID, "attempt", attempt, "panic", p)
 		}
 	}()
-	if r.cfg.beforeAttempt != nil {
-		r.cfg.beforeAttempt(ctx, j.ID, j.Kind, attempt)
+	if r.cfg.BeforeAttempt != nil {
+		r.cfg.BeforeAttempt(ctx, j.ID, j.Kind, attempt)
 	}
 	// A dead context means the attempt was aborted before (or while) the
 	// hook ran — never report success built on a cancelled run.
@@ -720,7 +704,7 @@ func (r *jobRunner) retryOrFail(j *Job, attemptNo int, cause string) {
 			fmt.Sprintf("%s (attempt %d of %d, retries exhausted)", cause, attemptNo, j.maxRetries+1), nil)
 		return
 	}
-	delay := backoffDelay(r.cfg.retryBackoff, r.cfg.retryBackoffMax, attemptNo)
+	delay := backoffDelay(r.cfg.RetryBackoff, r.cfg.RetryBackoffMax, attemptNo)
 	j.mu.Lock()
 	if j.finalized {
 		j.mu.Unlock()
@@ -839,7 +823,7 @@ func (r *jobRunner) isDraining() bool {
 // is converted into a retryable failure instead of occupying a worker
 // forever.
 func (r *jobRunner) watchdog() {
-	ticker := time.NewTicker(r.cfg.watchdogInterval)
+	ticker := time.NewTicker(r.cfg.WatchdogInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -862,7 +846,7 @@ func (r *jobRunner) watchdog() {
 				case p != j.lastProgress:
 					j.lastProgress = p
 					j.lastProgressAt = now
-				case now.Sub(j.lastProgressAt) > r.cfg.watchdogStall && !j.watchdogKilled:
+				case now.Sub(j.lastProgressAt) > r.cfg.WatchdogStall && !j.watchdogKilled:
 					j.watchdogKilled = true
 					if j.attemptCancel != nil {
 						j.attemptCancel()
@@ -898,7 +882,7 @@ func (r *jobRunner) retryAfter() time.Duration {
 	if avg <= 0 {
 		avg = 1
 	}
-	d := time.Duration(avg * (float64(r.queued.Load())/float64(r.cfg.workers) + 1) * float64(time.Second))
+	d := time.Duration(avg * (float64(r.queued.Load())/float64(r.cfg.Workers) + 1) * float64(time.Second))
 	if d < time.Second {
 		d = time.Second
 	}
@@ -908,17 +892,23 @@ func (r *jobRunner) retryAfter() time.Duration {
 	return d
 }
 
+// stopIntake makes every later submit fail with errDraining and fires
+// pending retries immediately. Idempotent.
+func (r *jobRunner) stopIntake() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.draining {
+		r.draining = true
+		close(r.drainNow)
+	}
+}
+
 // drain stops intake and waits for every live job — queued, running,
 // and retrying — to reach a terminal state, or for ctx to expire. The
 // caller decides what expiry means (Shutdown treats it as a crash for
 // journal purposes, so unfinished work is replayed on restart).
 func (r *jobRunner) drain(ctx context.Context) error {
-	r.mu.Lock()
-	if !r.draining {
-		r.draining = true
-		close(r.drainNow)
-	}
-	r.mu.Unlock()
+	r.stopIntake()
 	finished := make(chan struct{})
 	go func() {
 		r.liveWG.Wait()

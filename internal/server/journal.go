@@ -1,30 +1,30 @@
 package server
 
-// Crash-safe job journal: an append-only JSON-lines write-ahead log of
-// job state transitions (submit, start, retry, done, fail, cancel),
-// fsync'd on every append. A restarted server replays the journal and
-// re-enqueues every job whose last recorded state is non-terminal —
-// sound because simulation is deterministic and requests are journaled
-// in canonical (normalized) form, so a re-run produces byte-identical
-// results under the same content address. Result payloads are NOT
-// journaled: a replayed terminal job keeps its terminal state and
-// cause, and an identical resubmission recomputes the payload through
-// the cache.
+// Crash-safe job journal: a write-ahead log of job state transitions
+// (submit, start, retry, done, fail, cancel) on the shared fsync'd
+// JSON-lines core (internal/wal). A restarted server replays the
+// journal and re-enqueues every job whose last recorded state is
+// non-terminal — sound because simulation is deterministic and requests
+// are journaled in canonical (normalized) form, so a re-run produces
+// byte-identical results under the same content address. Result
+// payloads are NOT journaled: a replayed terminal job keeps its
+// terminal state and cause, and an identical resubmission recomputes
+// the payload through the cache.
 //
 // Replay is tolerant by construction: a crash can leave a torn final
-// line, so decoding stops at the first malformed line and keeps
-// everything before it (locked in by FuzzReplayJournal). Clean
-// shutdown compacts the journal down to the submit records of any
-// still-unfinished jobs (normally none), so the file does not grow
-// across restarts.
+// line, so decoding stops at the first malformed line (or the first
+// record without a job ID) and keeps everything before it (locked in
+// by FuzzReplayJournal). Clean shutdown compacts the journal down to
+// the submit records of any still-unfinished jobs (normally none), so
+// the file does not grow across restarts.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
+
+	"reese/internal/wal"
 )
 
 // Journal record types.
@@ -52,24 +52,27 @@ type journalRecord struct {
 	Cause   string `json:"cause,omitempty"`
 }
 
-// journal is the append handle. All methods are safe on a nil receiver
-// (journaling disabled) and after kill() (simulated crash: appends stop
-// reaching the file, exactly as if the process had died).
+// journal is the append handle over the shared log core (internal/wal).
+// All methods are safe on a nil receiver (journaling disabled, every
+// call a silent no-op) and after kill() (simulated crash: appends stop
+// reaching the file, exactly as if the process had died). Any other
+// append that cannot reach the file — a closed handle, a sick disk —
+// returns an error for the caller to log.
 type journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
+	log *wal.Log
+
+	mu     sync.Mutex // orders kill() against appends
 	killed bool
 }
 
 // openJournal opens (creating if needed) the journal at path for
 // appending.
 func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := wal.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: open journal: %w", err)
 	}
-	return &journal{f: f, path: path}, nil
+	return &journal{log: l}, nil
 }
 
 // append writes one record and fsyncs, so an acknowledged transition
@@ -80,19 +83,12 @@ func (j *journal) append(rec journalRecord) error {
 		return nil
 	}
 	rec.TS = time.Now().UTC()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.killed || j.f == nil {
+	if j.killed {
 		return nil
 	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	return j.log.Append(rec)
 }
 
 // kill simulates a hard process death for the chaos harness and for
@@ -113,17 +109,12 @@ func (j *journal) close() {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
+	j.log.Close()
 }
 
 // compact rewrites the journal to hold only the submit records of the
-// given unfinished jobs (normally none after a clean drain), via a
-// temp-file rename so a crash mid-compaction loses nothing.
+// given unfinished jobs (normally none after a clean drain), atomically,
+// so a crash mid-compaction loses nothing.
 func (j *journal) compact(live []journalRecord) error {
 	if j == nil {
 		return nil
@@ -133,40 +124,11 @@ func (j *journal) compact(live []journalRecord) error {
 	if j.killed {
 		return nil // a "dead" journal must keep its crash-time contents
 	}
-	tmp := j.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
+	recs := make([]any, len(live))
+	for i, rec := range live {
+		recs[i] = rec
 	}
-	for _, rec := range live {
-		line, merr := json.Marshal(rec)
-		if merr != nil {
-			f.Close()
-			os.Remove(tmp)
-			return merr
-		}
-		if _, werr := f.Write(append(line, '\n')); werr != nil {
-			f.Close()
-			os.Remove(tmp)
-			return werr
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return err
-	}
-	if j.f != nil {
-		j.f.Close()
-	}
-	j.f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	return err
+	return j.log.Rewrite(recs...)
 }
 
 // replayedJob is one job reconstructed from the journal: its last
@@ -192,77 +154,50 @@ type replayedJob struct {
 // journal. Malformed or truncated trailing data ends the replay at the
 // last good line — never an error, never a panic.
 func replayJournal(path string) ([]replayedJob, uint64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("server: open journal for replay: %w", err)
-	}
-	defer f.Close()
-
 	byID := make(map[string]*replayedJob)
 	var order []string
 	var maxID uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // canonical requests can be large (full machine configs)
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			break // torn tail from a crash mid-append: keep what we have
-		}
+	err := wal.Replay(path, func(rec journalRecord) bool {
 		if rec.Job == "" {
-			break
+			return false
 		}
 		var n uint64
 		if _, err := fmt.Sscanf(rec.Job, "j-%d", &n); err == nil && n > maxID {
 			maxID = n
 		}
-		switch rec.T {
-		case recSubmit:
-			if rec.Kind == "" || len(rec.Req) == 0 {
-				continue // malformed but parseable line: skip defensively
+		r, known := byID[rec.Job]
+		switch {
+		case rec.T == recSubmit:
+			// A malformed but parseable submit is skipped defensively; of
+			// duplicate submits the first one wins.
+			if !known && rec.Kind != "" && len(rec.Req) > 0 {
+				byID[rec.Job] = &replayedJob{
+					ID:      rec.Job,
+					Kind:    rec.Kind,
+					Key:     rec.Key,
+					Req:     append(json.RawMessage(nil), rec.Req...),
+					Timeout: time.Duration(rec.TimeoutMS) * time.Millisecond,
+					Created: rec.TS,
+					State:   StateQueued,
+				}
+				order = append(order, rec.Job)
 			}
-			if _, dup := byID[rec.Job]; dup {
-				continue // duplicate submit: first one wins
-			}
-			byID[rec.Job] = &replayedJob{
-				ID:      rec.Job,
-				Kind:    rec.Kind,
-				Key:     rec.Key,
-				Req:     append(json.RawMessage(nil), rec.Req...),
-				Timeout: time.Duration(rec.TimeoutMS) * time.Millisecond,
-				Created: rec.TS,
-				State:   StateQueued,
-			}
-			order = append(order, rec.Job)
-		case recStart:
-			if r, ok := byID[rec.Job]; ok && !r.State.terminal() {
-				r.State = StateRunning
-				r.Attempts = rec.Attempt
-			}
-		case recRetry:
-			if r, ok := byID[rec.Job]; ok && !r.State.terminal() {
-				r.State = StateRetrying
-				r.Attempts = rec.Attempt
-				r.Cause = rec.Cause
-			}
-		case recDone:
-			if r, ok := byID[rec.Job]; ok {
-				r.State = StateDone
-			}
-		case recFail:
-			if r, ok := byID[rec.Job]; ok {
-				r.State = StateFailed
-				r.Cause = rec.Cause
-				r.Attempts = rec.Attempt
-			}
-		case recCancel:
-			if r, ok := byID[rec.Job]; ok {
-				r.State = StateCanceled
-				r.Cause = rec.Cause
-			}
+		case !known:
+		case rec.T == recStart && !r.State.terminal():
+			r.State, r.Attempts = StateRunning, rec.Attempt
+		case rec.T == recRetry && !r.State.terminal():
+			r.State, r.Attempts, r.Cause = StateRetrying, rec.Attempt, rec.Cause
+		case rec.T == recDone:
+			r.State = StateDone
+		case rec.T == recFail:
+			r.State, r.Attempts, r.Cause = StateFailed, rec.Attempt, rec.Cause
+		case rec.T == recCancel:
+			r.State, r.Cause = StateCanceled, rec.Cause
 		}
+		return true
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("server: replay journal: %w", err)
 	}
 	out := make([]replayedJob, 0, len(order))
 	for _, id := range order {

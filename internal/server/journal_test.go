@@ -180,3 +180,25 @@ func FuzzReplayJournal(f *testing.F) {
 		}
 	})
 }
+
+// TestJournalAppendAfterCloseErrors: an append that cannot reach the
+// file must say so — only a nil (disabled) or killed journal may drop
+// records silently.
+func TestJournalAppendAfterCloseErrors(t *testing.T) {
+	var disabled *journal
+	if err := disabled.append(journalRecord{T: recDone, Job: "j-000001"}); err != nil {
+		t.Errorf("nil journal append returned %v, want silence", err)
+	}
+	jl, err := openJournal(filepath.Join(t.TempDir(), "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+	if err := jl.append(journalRecord{T: recDone, Job: "j-000001"}); err == nil {
+		t.Error("append on a closed journal returned nil; the record vanished silently")
+	}
+	jl.kill()
+	if err := jl.append(journalRecord{T: recDone, Job: "j-000001"}); err != nil {
+		t.Errorf("append on a killed journal returned %v, want silence", err)
+	}
+}

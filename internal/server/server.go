@@ -209,31 +209,16 @@ func New(cfg Config) (*Server, error) {
 	var maxID uint64
 	if cfg.JournalPath != "" {
 		var err error
-		replayed, maxID, err = replayJournal(cfg.JournalPath)
-		if err != nil {
-			stopRoot()
-			return nil, err
+		if replayed, maxID, err = replayJournal(cfg.JournalPath); err == nil {
+			s.journal, err = openJournal(cfg.JournalPath)
 		}
-		s.journal, err = openJournal(cfg.JournalPath)
 		if err != nil {
 			stopRoot()
 			return nil, err
 		}
 	}
 
-	s.jobs = newJobRunner(rootCtx, runnerConfig{
-		workers:          cfg.Workers,
-		queueDepth:       cfg.QueueDepth,
-		maxJobs:          cfg.MaxJobs,
-		jobTimeout:       cfg.JobTimeout,
-		maxTimeout:       cfg.MaxTimeout,
-		maxRetries:       cfg.MaxRetries,
-		retryBackoff:     cfg.RetryBackoff,
-		retryBackoffMax:  cfg.RetryBackoffMax,
-		watchdogInterval: cfg.WatchdogInterval,
-		watchdogStall:    cfg.WatchdogStall,
-		beforeAttempt:    cfg.BeforeAttempt,
-	}, s.journal, cfg.Logger, m)
+	s.jobs = newJobRunner(rootCtx, cfg, s.journal, m)
 	s.jobs.nextID.Store(maxID)
 	s.adoptJournal(replayed)
 
@@ -356,12 +341,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // replays whatever had been acknowledged.
 func (s *Server) Crash() {
 	s.journal.kill()
-	s.jobs.mu.Lock()
-	if !s.jobs.draining {
-		s.jobs.draining = true
-		close(s.jobs.drainNow)
-	}
-	s.jobs.mu.Unlock()
+	s.jobs.stopIntake()
 	s.stopRoot()
 	s.jobs.wg.Wait()
 	s.journal.close()
@@ -477,102 +457,60 @@ const maxRequestBody = 4 << 20
 // both rebuild the identical runFunc from the identical canonical
 // bytes.
 func (s *Server) prepareJob(kind string, body []byte) (key string, canonical json.RawMessage, run runFunc, err error) {
-	bad := func(e error) (string, json.RawMessage, runFunc, error) {
-		return "", nil, nil, badRequestError{e}
-	}
 	switch kind {
 	case "run":
-		var req RunRequest
-		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			return bad(fmt.Errorf("decode request: %w", jerr))
-		}
-		req, nerr := req.normalize(s.cfg.Limits)
-		if nerr != nil {
-			return bad(nerr)
-		}
-		if key, err = cacheKey(kind, req); err != nil {
-			return "", nil, nil, err
-		}
-		if canonical, err = json.Marshal(req); err != nil {
-			return "", nil, nil, err
-		}
-		run = func(ctx context.Context, progress *atomic.Uint64) (jobOutput, error) {
-			return runSimulation(ctx, req, progress)
-		}
+		return prepare(kind, body, s.cfg.Limits, runSimulation)
 	case "figure":
-		var req FigureRequest
-		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			return bad(fmt.Errorf("decode request: %w", jerr))
-		}
-		req, nerr := req.normalize(s.cfg.Limits)
-		if nerr != nil {
-			return bad(nerr)
-		}
-		if key, err = cacheKey(kind, req); err != nil {
-			return "", nil, nil, err
-		}
-		if canonical, err = json.Marshal(req); err != nil {
-			return "", nil, nil, err
-		}
-		parallel := s.gridParallel
-		run = func(ctx context.Context, progress *atomic.Uint64) (jobOutput, error) {
-			return runFigure(ctx, req, parallel, progress)
-		}
+		return prepare(kind, body, s.cfg.Limits, s.runFigure)
 	case "faults":
-		var req FaultsRequest
-		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			return bad(fmt.Errorf("decode request: %w", jerr))
-		}
-		req, nerr := req.normalize(s.cfg.Limits)
-		if nerr != nil {
-			return bad(nerr)
-		}
-		if key, err = cacheKey(kind, req); err != nil {
-			return "", nil, nil, err
-		}
-		if canonical, err = json.Marshal(req); err != nil {
-			return "", nil, nil, err
-		}
-		parallel := s.gridParallel
-		triaged := s.triageObserver()
-		run = func(ctx context.Context, progress *atomic.Uint64) (jobOutput, error) {
-			return runFaults(ctx, req, parallel, progress, triaged)
-		}
+		return prepare(kind, body, s.cfg.Limits, s.runFaults)
 	case "shard":
-		var req ShardSpec
-		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			return bad(fmt.Errorf("decode request: %w", jerr))
-		}
-		req, nerr := req.normalize(s.cfg.Limits)
-		if nerr != nil {
-			return bad(nerr)
-		}
-		if key, err = cacheKey(kind, req); err != nil {
-			return "", nil, nil, err
-		}
-		if canonical, err = json.Marshal(req); err != nil {
-			return "", nil, nil, err
-		}
-		parallel := s.gridParallel
-		triaged := s.triageObserver()
-		run = func(ctx context.Context, progress *atomic.Uint64) (jobOutput, error) {
-			return runShard(ctx, req, parallel, progress, triaged)
-		}
-	default:
-		return "", nil, nil, fmt.Errorf("unknown job kind %q", kind)
+		return prepare(kind, body, s.cfg.Limits, s.runShard)
+	}
+	return "", nil, nil, fmt.Errorf("unknown job kind %q", kind)
+}
+
+// request is a job request type that canonicalizes itself under the
+// server's limits.
+type request[R any] interface {
+	normalize(Limits) (R, error)
+}
+
+// prepare is prepareJob for one request type: decode → normalize →
+// content address → canonical bytes, with the run closure bound to the
+// normalized request. Decode and normalize failures are the client's
+// fault (badRequestError, a 400); the rest are the server's (a 500).
+func prepare[R request[R]](kind string, body []byte, lim Limits,
+	runner func(context.Context, R, *atomic.Uint64) (jobOutput, error)) (string, json.RawMessage, runFunc, error) {
+	var req R
+	if err := json.Unmarshal(body, &req); err != nil {
+		return "", nil, nil, badRequestError{fmt.Errorf("decode request: %w", err)}
+	}
+	req, err := req.normalize(lim)
+	if err != nil {
+		return "", nil, nil, badRequestError{err}
+	}
+	key, err := cacheKey(kind, req)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	canonical, err := json.Marshal(req)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	run := func(ctx context.Context, progress *atomic.Uint64) (jobOutput, error) {
+		return runner(ctx, req, progress)
 	}
 	return key, canonical, run, nil
 }
 
-// triageObserver builds the harness.CampaignSpec.TriageObserver hook
-// that records the server's triage metrics. The returned closure is
-// called from campaign worker goroutines; the metric primitives are
-// atomic, so it is safe as-is.
-func (s *Server) triageObserver() func(outcome string, seconds float64) {
-	return func(outcome string, seconds float64) {
-		s.faultsTriaged.With(outcome).Inc()
-		s.triageDuration.With().Observe(seconds)
-	}
+// observeTriage is the harness.CampaignSpec.TriageObserver hook that
+// records the server's triage metrics. It is called from campaign
+// worker goroutines; the metric primitives are atomic, so it is safe
+// as-is.
+func (s *Server) observeTriage(outcome string, seconds float64) {
+	s.faultsTriaged.With(outcome).Inc()
+	s.triageDuration.With().Observe(seconds)
 }
 
 // withCachePut wraps a run closure so a successful result lands in the
@@ -585,6 +523,36 @@ func (s *Server) withCachePut(key string, run runFunc) runFunc {
 		}
 		return out, err
 	}
+}
+
+// enqueue prepares a job from a raw request body and either answers it
+// from the content-addressed result cache (a finished job, cached) or
+// submits it. The error is a badRequestError, errQueueFull, errDraining,
+// or an internal failure.
+func (s *Server) enqueue(kind string, body []byte, timeout time.Duration) (j *Job, cached bool, err error) {
+	key, canonical, run, err := s.prepareJob(kind, body)
+	if err != nil {
+		return nil, false, err
+	}
+	if payload, ok := s.cache.get(key); ok {
+		return s.jobs.complete(kind, key, payload), true, nil
+	}
+	j, err = s.jobs.submit(kind, key, canonical, timeout, s.withCachePut(key, run))
+	return j, false, err
+}
+
+// retryHint reports whether a submit error sheds load and, if so, when
+// to retry: the queue's expected drain time when it is full; while
+// shutting down, a long hint that tells the client to find another
+// replica rather than wait for this one's queue.
+func (s *Server) retryHint(err error) (time.Duration, bool) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		return s.jobs.retryAfter(), true
+	case errors.Is(err, errDraining):
+		return 30 * time.Second, true
+	}
+	return 0, false
 }
 
 // submitHandler builds the POST handler for one job kind: decode +
@@ -614,39 +582,24 @@ func (s *Server) submitHandler(kind string) http.HandlerFunc {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 			return
 		}
-		key, canonical, run, err := s.prepareJob(kind, body)
-		if err != nil {
-			var bad badRequestError
-			if errors.As(err, &bad) {
-				s.writeError(w, http.StatusBadRequest, err)
-			} else {
-				s.writeError(w, http.StatusInternalServerError, err)
-			}
+		j, cached, err := s.enqueue(kind, body, timeout)
+		var bad badRequestError
+		if after, shed := s.retryHint(err); shed {
+			s.writeUnavailable(w, err, after)
 			return
-		}
-
-		if payload, ok := s.cache.get(key); ok {
-			j := s.jobs.complete(kind, key, payload)
-			s.log.Info("job served from cache", "job", j.ID, "kind", kind, "key", key[:12])
-			s.writeJSON(w, http.StatusOK, j.snapshot())
+		} else if errors.As(err, &bad) {
+			s.writeError(w, http.StatusBadRequest, err)
 			return
-		}
-
-		j, err := s.jobs.submit(kind, key, canonical, timeout, s.withCachePut(key, run))
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.writeUnavailable(w, err, s.jobs.retryAfter())
-			return
-		case errors.Is(err, errDraining):
-			// Shutting down: the hint tells the client to find another
-			// replica, not to wait for this one's queue.
-			s.writeUnavailable(w, err, 30*time.Second)
-			return
-		case err != nil:
+		} else if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		s.log.Info("job queued", "job", j.ID, "kind", kind, "key", key[:12], "wait", wait.String())
+		if cached {
+			s.log.Info("job served from cache", "job", j.ID, "kind", kind, "key", j.cacheKey[:12])
+			s.writeJSON(w, http.StatusOK, j.snapshot())
+			return
+		}
+		s.log.Info("job queued", "job", j.ID, "kind", kind, "key", j.cacheKey[:12], "wait", wait.String())
 		if wait == 0 {
 			s.writeJSON(w, http.StatusAccepted, j.snapshot())
 			return
@@ -712,8 +665,8 @@ func runSimulation(ctx context.Context, req RunRequest, progress *atomic.Uint64)
 }
 
 // runFigure executes one FigureRequest.
-func runFigure(ctx context.Context, req FigureRequest, parallel int, progress *atomic.Uint64) (jobOutput, error) {
-	opt := harness.Options{Insts: req.Insts, Parallel: parallel, Ctx: ctx, Progress: progress}
+func (s *Server) runFigure(ctx context.Context, req FigureRequest, progress *atomic.Uint64) (jobOutput, error) {
+	opt := harness.Options{Insts: req.Insts, Parallel: s.gridParallel, Ctx: ctx, Progress: progress}
 	var payload FigurePayload
 	var insts uint64
 	switch req.Figure {
@@ -754,8 +707,8 @@ func runFigure(ctx context.Context, req FigureRequest, parallel int, progress *a
 }
 
 // runFaults executes one FaultsRequest.
-func runFaults(ctx context.Context, req FaultsRequest, parallel int, progress *atomic.Uint64, triaged func(string, float64)) (jobOutput, error) {
-	opt := harness.Options{Parallel: parallel, Ctx: ctx, Progress: progress}
+func (s *Server) runFaults(ctx context.Context, req FaultsRequest, progress *atomic.Uint64) (jobOutput, error) {
+	opt := harness.Options{Parallel: s.gridParallel, Ctx: ctx, Progress: progress}
 	var payload FaultsPayload
 	if req.Workload == "" {
 		table, reports, err := harness.CampaignAll(req.Injections, req.Seed, opt)
@@ -766,6 +719,7 @@ func runFaults(ctx context.Context, req FaultsRequest, parallel int, progress *a
 	} else {
 		// One workload: REESE vs baseline, RSQ-only structures dropped on
 		// the machine that has no R-stream Queue.
+		structs := parseStructures(req.Structures)
 		var b strings.Builder
 		for _, cfg := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
 			if req.L2ECC {
@@ -780,20 +734,8 @@ func runFaults(ctx context.Context, req FaultsRequest, parallel int, progress *a
 				CheckpointInterval: req.CheckpointInterval,
 				Triage:             req.Triage,
 				TriageDetected:     req.TriageDetected,
-				TriageObserver:     triaged,
-			}
-			rsq := cfg.Reese.Enabled && cfg.Reese.Mode != config.ModeDupDispatch
-			for _, name := range req.Structures {
-				st, ok := fault.ParseStruct(name)
-				if !ok || (st.NeedsRSQ() && !rsq) {
-					continue
-				}
-				spec.Structures = append(spec.Structures, st)
-			}
-			if len(req.Structures) > 0 && len(spec.Structures) == 0 {
-				// Only RSQ structures were requested; keep the baseline half
-				// non-empty so the comparison still renders.
-				spec.Structures = []fault.Struct{fault.StructResult}
+				Structures:         harness.HostableStructures(structs, cfg),
+				TriageObserver:     s.observeTriage,
 			}
 			rep, err := harness.Campaign(spec, opt)
 			if err != nil {
@@ -837,10 +779,10 @@ func runFaults(ctx context.Context, req FaultsRequest, parallel int, progress *a
 // the full campaign plan. The payload carries the per-trial records
 // alongside the report (the report's own JSON form excludes them) so
 // the coordinator can reconstitute the full trial log after the merge.
-func runShard(ctx context.Context, req ShardSpec, parallel int, progress *atomic.Uint64, triaged func(string, float64)) (jobOutput, error) {
-	opt := harness.Options{Parallel: parallel, Ctx: ctx, Progress: progress}
+func (s *Server) runShard(ctx context.Context, req ShardSpec, progress *atomic.Uint64) (jobOutput, error) {
+	opt := harness.Options{Parallel: s.gridParallel, Ctx: ctx, Progress: progress}
 	spec := req.campaignSpec()
-	spec.TriageObserver = triaged
+	spec.TriageObserver = s.observeTriage
 	rep, err := harness.Campaign(spec, opt)
 	if err != nil {
 		return jobOutput{}, err
@@ -910,34 +852,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			item.Error = err.Error()
 			continue
 		}
-		key, canonical, run, err := s.prepareJob("shard", raw)
+		// Idempotent resubmission: a shard this worker already ran is
+		// answered from the content-addressed cache, which is what makes
+		// reassignment double-count-proof.
+		j, _, err := s.enqueue("shard", raw, timeout)
 		if err != nil {
 			item.Error = err.Error()
+			if after, shed := s.retryHint(err); shed {
+				item.RetryAfterMS = after.Milliseconds()
+			}
 			continue
 		}
-		if payload, ok := s.cache.get(key); ok {
-			// Idempotent resubmission: a shard this worker already ran is
-			// answered from the content-addressed cache, which is what makes
-			// reassignment double-count-proof.
-			j := s.jobs.complete("shard", key, payload)
-			v := j.snapshot()
-			item.Job = &v
-			continue
-		}
-		j, err := s.jobs.submit("shard", key, canonical, timeout, s.withCachePut(key, run))
-		switch {
-		case errors.Is(err, errQueueFull):
-			item.Error = err.Error()
-			item.RetryAfterMS = s.jobs.retryAfter().Milliseconds()
-		case errors.Is(err, errDraining):
-			item.Error = err.Error()
-			item.RetryAfterMS = (30 * time.Second).Milliseconds()
-		case err != nil:
-			item.Error = err.Error()
-		default:
-			v := j.snapshot()
-			item.Job = &v
-		}
+		v := j.snapshot()
+		item.Job = &v
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
