@@ -246,22 +246,30 @@ loop:
 }
 
 // one issues a single request and classifies it: ok, shed (503), or
-// error. Every request carries a fresh seed (or instruction budget) so
-// the server's result cache cannot answer it — the point is to load
-// the simulator, not the cache.
+// error. Every request body is unique (see body), so the server's result
+// cache cannot answer it — the point is to load the simulator, not the
+// cache.
 func (g *generator) one() string {
 	seq := g.seq.Add(1)
+	body := g.body(seq)
 	switch g.kind {
 	case "run":
-		body := fmt.Sprintf(`{"workload":%q,"insts":%d}`, g.workload, g.insts+seq%128)
 		return g.post(g.pick(seq)+"/v1/run?wait=60s", body)
 	case "cluster":
-		body := fmt.Sprintf(`{"workload":%q,"injections":%d,"seed":%d}`, g.workload, g.injections, seq)
 		return g.stream(g.coordinator+"/v1/cluster/faults", body)
 	default: // faults
-		body := fmt.Sprintf(`{"workload":%q,"injections":%d,"seed":%d}`, g.workload, g.injections, seq)
 		return g.post(g.pick(seq)+"/v1/faults?wait=60s", body)
 	}
+}
+
+// body is request seq's JSON: run requests get the instruction budget
+// insts+seq, campaign requests the seed seq, so no two requests share a
+// cache key.
+func (g *generator) body(seq uint64) string {
+	if g.kind == "run" {
+		return fmt.Sprintf(`{"workload":%q,"insts":%d}`, g.workload, g.insts+seq)
+	}
+	return fmt.Sprintf(`{"workload":%q,"injections":%d,"seed":%d}`, g.workload, g.injections, seq)
 }
 
 func (g *generator) pick(seq uint64) string {

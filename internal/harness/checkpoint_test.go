@@ -17,7 +17,11 @@ import (
 // the golden from-scratch run finished in — same cycle count, same
 // commit and oracle digests, same stall attribution.
 func TestForkFromCheckpointMatchesScratchRun(t *testing.T) {
-	for _, cfg := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
+	s := config.Starting()
+	for _, cfg := range []config.Machine{
+		s.WithReese(), s, s.WithDupDispatch(), s.WithReese().WithRESO(),
+		s.WithReese().WithPartialReexec(3), s.WithReese().WithWrongPath(),
+	} {
 		spec, _ := CampaignSpec{
 			Workload: "li",
 			Machine:  cfg,

@@ -325,7 +325,9 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 		}
 	}
 	if div != nil {
-		if fc := cpu.FaultCycle(); fc != 0 && divCycle > fc {
+		// The replay's CPU went back to the worker pool when
+		// runTrialInstr returned; its fault cycle lives on in rt.
+		if fc := rt.faultCycle; fc != 0 && divCycle > fc {
 			div.Cycle = divCycle
 			div.CycleDelta = divCycle - fc
 		}

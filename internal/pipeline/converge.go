@@ -8,6 +8,8 @@ package pipeline
 // forever and jumps straight to the watchdog threshold.
 
 import (
+	"bytes"
+
 	"reese/internal/bpred"
 	"reese/internal/emu"
 	"reese/internal/ruu"
@@ -46,16 +48,7 @@ func oracleEqual(a, b *emu.Machine) bool {
 	if a.StoreHash() != b.StoreHash() || a.StoreCount() != b.StoreCount() {
 		return false
 	}
-	ao, bo := a.Output(), b.Output()
-	if len(ao) != len(bo) {
-		return false
-	}
-	for i := range ao {
-		if ao[i] != bo[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(a.Output(), b.Output())
 }
 
 // ConvergedWith reports whether this machine's microarchitectural and
@@ -88,7 +81,7 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet)
 	if c.stuck != nil || g.stuck != nil {
 		return false
 	}
-	if c.dupMode != g.dupMode || c.hangLimit != g.hangLimit {
+	if c.hangLimit != g.hangLimit {
 		return false
 	}
 	if c.committed != g.committed || c.done != g.done || c.permError != g.permError ||
@@ -144,9 +137,6 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet)
 			return false
 		}
 	}
-	if c.rLive != g.rLive {
-		return false
-	}
 	// Oracle plane.
 	if !oracleEqual(c.oracle, g.oracle) {
 		return false
@@ -172,59 +162,12 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet)
 	if !ruu.Converged(c.ruu, g.ruu, c.lsq, g.lsq, c.cycle, g.cycle) {
 		return false
 	}
-	if (c.rsq == nil) != (g.rsq == nil) {
-		return false
-	}
-	if c.rsq != nil {
-		if !c.rsq.StateConverged(g.rsq, c.cycle, g.cycle, c.lsq.NormSeq, g.lsq.NormSeq) {
-			return false
-		}
-		// Under partial re-execution the skip decision of FUTURE enqueues
-		// depends on absolute sequence numbers, so relative convergence
-		// is not enough: require exact alignment.
-		if c.rsq.Every() > 1 && c.ruu.NextSeq() != g.ruu.NextSeq() {
-			return false
-		}
-	}
-	return true
+	return c.scheme.converged(g.scheme, c, g)
 }
 
-// hangCounters is the per-cycle accumulator snapshot the hang
-// fast-forward extrapolates: every counter that feeds Result and can
-// advance during a wedged cycle.
-type hangCounters struct {
-	fetchICacheStallCycles uint64
-	fetchBranchStallCycles uint64
-	dispatchRUUFull        uint64
-	dispatchLSQFull        uint64
-	branches               uint64
-	mispredicts            uint64
-	wpFetched              uint64
-	wpSquashed             uint64
-	rsqOccSum              uint64
-	injected               uint64
-	detected               uint64
-	silent                 uint64
-	recoveries             uint64
-}
-
-func (c *CPU) hangCounters() hangCounters {
-	return hangCounters{
-		fetchICacheStallCycles: c.fetchICacheStallCycles,
-		fetchBranchStallCycles: c.fetchBranchStallCycles,
-		dispatchRUUFull:        c.dispatchRUUFull,
-		dispatchLSQFull:        c.dispatchLSQFull,
-		branches:               c.branches,
-		mispredicts:            c.mispredicts,
-		wpFetched:              c.wpFetched,
-		wpSquashed:             c.wpSquashed,
-		rsqOccSum:              c.rsqOccSum,
-		injected:               c.injected,
-		detected:               c.detected,
-		silent:                 c.silent,
-		recoveries:             c.recoveries,
-	}
-}
+// grow advances accumulator v by k periods of its growth since prev
+// (the hang fast-forward's extrapolation).
+func grow(v *uint64, prev, k uint64) { *v += (*v - prev) * k }
 
 // tryHangFastForward checks whether the machine has become periodic —
 // behaviorally identical to the probe snapshot g taken p = c.cycle -
@@ -273,36 +216,32 @@ func (c *CPU) tryHangFastForward(g *CPU) bool {
 		return false
 	}
 
-	// Extrapolate accumulators: cur + (cur - prev) * k, where cur - prev
-	// is exactly one period's growth.
-	cur, prev := c.hangCounters(), g.hangCounters()
-	c.fetchICacheStallCycles += (cur.fetchICacheStallCycles - prev.fetchICacheStallCycles) * k
-	c.fetchBranchStallCycles += (cur.fetchBranchStallCycles - prev.fetchBranchStallCycles) * k
-	c.dispatchRUUFull += (cur.dispatchRUUFull - prev.dispatchRUUFull) * k
-	c.dispatchLSQFull += (cur.dispatchLSQFull - prev.dispatchLSQFull) * k
-	c.branches += (cur.branches - prev.branches) * k
-	c.mispredicts += (cur.mispredicts - prev.mispredicts) * k
-	c.wpFetched += (cur.wpFetched - prev.wpFetched) * k
-	c.wpSquashed += (cur.wpSquashed - prev.wpSquashed) * k
-	c.rsqOccSum += (cur.rsqOccSum - prev.rsqOccSum) * k
-	c.injected += (cur.injected - prev.injected) * k
-	c.detected += (cur.detected - prev.detected) * k
-	c.silent += (cur.silent - prev.silent) * k
-	c.recoveries += (cur.recoveries - prev.recoveries) * k
+	// Extrapolate every accumulator that feeds Result and can advance
+	// during a wedged cycle: g holds them one period ago.
+	grow(&c.fetchICacheStallCycles, g.fetchICacheStallCycles, k)
+	grow(&c.fetchBranchStallCycles, g.fetchBranchStallCycles, k)
+	grow(&c.dispatchRUUFull, g.dispatchRUUFull, k)
+	grow(&c.dispatchLSQFull, g.dispatchLSQFull, k)
+	grow(&c.branches, g.branches, k)
+	grow(&c.mispredicts, g.mispredicts, k)
+	grow(&c.wpFetched, g.wpFetched, k)
+	grow(&c.wpSquashed, g.wpSquashed, k)
+	grow(&c.injected, g.injected, k)
+	grow(&c.detected, g.detected, k)
+	grow(&c.silent, g.silent, k)
+	grow(&c.recoveries, g.recoveries, k)
 	c.detectLat.ExtrapolateFrom(g.detectLat, k)
 	for s := range c.stalls.Used {
-		c.stalls.Used[s] += (c.stalls.Used[s] - g.stalls.Used[s]) * k
+		grow(&c.stalls.Used[s], g.stalls.Used[s], k)
 		for cause := range c.stalls.Stalls[s] {
-			c.stalls.Stalls[s][cause] += (c.stalls.Stalls[s][cause] - g.stalls.Stalls[s][cause]) * k
+			grow(&c.stalls.Stalls[s][cause], g.stalls.Stalls[s][cause], k)
 		}
 	}
 	c.pool.ExtrapolateStats(g.pool.Stats(), k)
 	c.hier.L1I.ExtrapolateStats(g.hier.L1I.Stats(), k)
 	c.hier.L1D.ExtrapolateStats(g.hier.L1D.Stats(), k)
 	c.hier.L2.ExtrapolateStats(g.hier.L2.Stats(), k)
-	if c.rsq != nil {
-		c.rsq.ExtrapolateStats(g.rsq.Stats(), k)
-	}
+	c.scheme.extrapolate(g.scheme, k)
 	c.hangPeriod = p
 	c.cycle = target
 	return true

@@ -81,14 +81,9 @@ type CPU struct {
 
 	ruu *ruu.RUU
 	lsq *ruu.LSQ
-	rsq *reese.Queue // nil unless REESE enabled in RSQ mode
-	// dupMode selects the duplicate-at-the-scheduler comparison scheme
-	// (config.ModeDupDispatch): every instruction dispatches as an
-	// adjacent (original, duplicate) pair compared at commit.
-	dupMode bool
-	// rLive counts dispatched R copies whose comparison has not
-	// completed; they occupy window slots (see windowFree).
-	rLive int
+	// scheme is the redundancy organisation (scheme.go): baseline,
+	// R-stream Queue, or duplicate-at-dispatch.
+	scheme scheme
 
 	injector fault.Injector
 	// sites is non-nil when injector also implements the
@@ -252,10 +247,6 @@ type CPU struct {
 	branches    uint64
 	mispredicts uint64
 
-	// RSQ occupancy sampling (REESE machines).
-	rsqOccSum uint64
-	rsqOccMax uint64
-
 	// classCommits counts retired instructions per functional-unit
 	// class (the dynamic instruction mix).
 	classCommits [8]uint64
@@ -346,34 +337,29 @@ func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*C
 		ras:       ras,
 		ruu:       r,
 		lsq:       lsq,
-		injector:  injector,
 		detectLat: stats.NewHistogram(1),
 		hangLimit: DefaultHangLimit,
 		storeHash: emu.DigestSeed,
 	}
 	c.shadowRegs[isa.RegSP] = program.StackTop
-	if injector == nil {
-		c.injector = fault.None{}
-	}
-	if s, ok := c.injector.(fault.SiteInjector); ok {
-		c.sites = s
-	}
-	if m, ok := c.injector.(fault.MemSiteInjector); ok {
-		c.memSites = m
-	}
+	c.setInjector(injector)
 	c.hier.SetWordPlane(c.oracle.Mem())
-	if cfg.Reese.Enabled {
-		if cfg.Reese.Mode == config.ModeDupDispatch {
-			c.dupMode = true
-		} else {
-			c.rsq, err = reese.New(cfg.Reese.RSQSize, cfg.Reese.HighWater, cfg.Reese.ReexecuteEvery)
-			if err != nil {
-				return nil, err
-			}
-			c.rsq.SetRESO(cfg.Reese.RESO)
-		}
+	if c.scheme, err = newScheme(cfg.Reese); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// setInjector installs inj (nil for none) and resolves its optional
+// structure-addressed hook sites once, so the hot path pays a nil check
+// rather than a type assertion.
+func (c *CPU) setInjector(inj fault.Injector) {
+	if inj == nil {
+		inj = fault.None{}
+	}
+	c.injector = inj
+	c.sites, _ = inj.(fault.SiteInjector)
+	c.memSites, _ = inj.(fault.MemSiteInjector)
 }
 
 // Result is the outcome of a simulation run.
@@ -643,17 +629,11 @@ func (c *CPU) step() {
 	c.issueNotReady, c.issueNoFU = false, false
 	nCommit := c.commit()
 	c.writeback()
-	nIssue := c.issue()
-	nDisp := c.dispatch()
+	rFirst := c.scheme.cycle()
+	nIssue := c.issue(rFirst)
+	nDisp := c.dispatch(rFirst)
 	c.fetch()
 	c.chargeStalls(nDisp, nIssue, nCommit)
-	if c.rsq != nil {
-		occ := uint64(c.rsq.Len())
-		c.rsqOccSum += occ
-		if occ > c.rsqOccMax {
-			c.rsqOccMax = occ
-		}
-	}
 	c.cycle++
 }
 
@@ -732,14 +712,7 @@ func (c *CPU) result() Result {
 	if c.branches > 0 {
 		res.BranchAcc = 1 - float64(c.mispredicts)/float64(c.branches)
 	}
-	if c.rsq != nil {
-		s := c.rsq.Stats()
-		res.Reese = &s
-		res.RSQOccupancyMax = c.rsqOccMax
-		if c.cycle > 0 {
-			res.RSQOccupancyMean = float64(c.rsqOccSum) / float64(c.cycle)
-		}
-	}
+	res = c.scheme.report(res, c.cycle)
 	if c.detectLat.Count() > 0 {
 		res.DetectionLatencyMean = c.detectLat.Mean()
 		res.DetectionLatencyMax = c.detectLat.Max()

@@ -115,18 +115,7 @@ func (ck *Checkpoint) Fork(memory *program.Memory, injector fault.Injector, dst 
 		return nil, fmt.Errorf("pipeline: Fork needs a restored memory image")
 	}
 	cpu := ck.cpu.cloneInto(dst, memory)
-	cpu.injector = injector
-	if injector == nil {
-		cpu.injector = fault.None{}
-	}
-	cpu.sites = nil
-	if s, ok := cpu.injector.(fault.SiteInjector); ok {
-		cpu.sites = s
-	}
-	cpu.memSites = nil
-	if m, ok := cpu.injector.(fault.MemSiteInjector); ok {
-		cpu.memSites = m
-	}
+	cpu.setInjector(injector)
 	return cpu, nil
 }
 
@@ -161,15 +150,8 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	if dst == nil {
 		dst = &CPU{}
 	}
-	oracle := dst.oracle
-	hier := dst.hier
-	pool := dst.pool
-	r := dst.ruu
-	lq := dst.lsq
-	rq := dst.rsq
-	fq := dst.fetchQ
-	rpq := dst.replayQ
-	rps := dst.replayScratch
+	oracle, hier, pool, r, lq, sch := dst.oracle, dst.hier, dst.pool, dst.ruu, dst.lsq, dst.scheme
+	fq, rpq, rps := dst.fetchQ, dst.replayQ, dst.replayScratch
 
 	*dst = *c
 	dst.oracle = c.oracle.CloneInto(oracle, memory)
@@ -187,10 +169,7 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	dst.ras = c.ras.Clone()
 	dst.ruu = c.ruu.CloneInto(r)
 	dst.lsq = c.lsq.CloneInto(lq)
-	dst.rsq = nil
-	if c.rsq != nil {
-		dst.rsq = c.rsq.CloneInto(rq)
-	}
+	dst.scheme = c.scheme.clone(sch)
 	dst.fetchQ = append(fq[:0], c.fetchQ...)
 	dst.replayQ = append(rpq[:0], c.replayQ...)
 	// replayScratch contents are dead outside recover(); keep only the
@@ -198,18 +177,10 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	dst.replayScratch = rps[:0]
 	dst.detectLat = c.detectLat.Clone()
 
-	dst.traceW = nil
-	dst.recorder = nil
-	dst.progress = nil
-	dst.progressSeen = 0
-	dst.hookMarks = nil
-	dst.hookIdx = 0
-	dst.hookFn = nil
-	dst.hangFF = false
-	dst.ffScratch = nil
-	dst.ffProbeAge = 0
-	dst.commitWatch = nil
-	dst.recFreeze = 0
+	dst.traceW, dst.recorder, dst.progress, dst.progressSeen = nil, nil, nil, 0
+	dst.hookMarks, dst.hookIdx, dst.hookFn = nil, 0, nil
+	dst.hangFF, dst.ffScratch, dst.ffProbeAge = false, nil, 0
+	dst.commitWatch, dst.recFreeze = nil, 0
 	return dst
 }
 

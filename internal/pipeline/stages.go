@@ -9,7 +9,6 @@ import (
 	"reese/internal/isa"
 	"reese/internal/obs"
 	"reese/internal/program"
-	"reese/internal/reese"
 	"reese/internal/ruu"
 )
 
@@ -45,27 +44,13 @@ func (c *CPU) nextTrace() *emu.Trace {
 		// An architectural-site fault (regfile, fetch PC) corrupted the
 		// oracle directly; from here the machine executes the corrupted
 		// program state — both streams, so the comparator sees nothing.
-		c.injected++
-		if c.faultCycle == 0 {
-			c.faultCycle = c.cycle
-		}
-		if c.recorder != nil {
-			inj := emu.Trace{PC: c.oracle.PC()}
-			c.record(EvFaultInjected, c.oracle.InstCount(), &inj, 0, 0)
-		}
+		c.noteOracleInjection()
 	}
 	if c.memSites != nil && c.memSites.MemStep(c.oracle.InstCount(), hierPlane{c}) {
 		// A memory-hierarchy fault fired: a flipped architectural word,
 		// a perturbed cache line or TLB entry — all outside the sphere
 		// of replication, so the comparator sees nothing here either.
-		c.injected++
-		if c.faultCycle == 0 {
-			c.faultCycle = c.cycle
-		}
-		if c.recorder != nil {
-			inj := emu.Trace{PC: c.oracle.PC()}
-			c.record(EvFaultInjected, c.oracle.InstCount(), &inj, 0, 0)
-		}
+		c.noteOracleInjection()
 	}
 	tr, err := c.oracle.Step()
 	if err != nil {
@@ -156,14 +141,11 @@ func (c *CPU) fetch() {
 			c.branches++
 			if c.predictAndMaybeStall(fe) {
 				if fe.mispredicted {
+					detail := "fetch stalled until resolution"
 					if c.cfg.ModelWrongPath {
-						c.traceEvent(EvMispredict, tr, "fetching down the wrong path")
-					} else {
-						c.traceEvent(EvMispredict, tr, "fetch stalled until resolution")
+						detail = "fetching down the wrong path"
 					}
-					if c.recorder != nil {
-						c.record(obs.EvMispredict, 0, tr, 0, -1)
-					}
+					c.event(EvMispredict, 0, tr, detail, 0, -1)
 				}
 				return
 			}
@@ -197,9 +179,7 @@ func (c *CPU) wrongPathTrace() *emu.Trace {
 		return tr
 	case op.IsBranch():
 		if c.pred.Predict(pc) {
-			if tgt, ok := c.btb.Lookup(pc); ok {
-				tr.NextPC = tgt
-			}
+			tr.NextPC = c.btbTarget(pc, tr.NextPC)
 		}
 		// Speculative history shifts on the wrong path too; the squash
 		// restores the snapshot.
@@ -217,6 +197,15 @@ func (c *CPU) wrongPathTrace() *emu.Trace {
 	}
 	c.wpPC = tr.NextPC
 	return tr
+}
+
+// btbTarget is the BTB's predicted target for pc, or fall when it has
+// none.
+func (c *CPU) btbTarget(pc, fall uint32) uint32 {
+	if tgt, ok := c.btb.Lookup(pc); ok {
+		return tgt
+	}
+	return fall
 }
 
 // predictAndMaybeStall runs the front-end predictors for a control
@@ -240,15 +229,10 @@ func (c *CPU) predictAndMaybeStall(fe *fetchEntry) (stop bool) {
 		// actually consulted.
 		fe.histSnap = c.pred.Snapshot()
 		defer c.pred.ShiftHistory(tr.Taken)
+		predictedNext = fallPC
 		if c.pred.Predict(pc) {
-			if tgt, ok := c.btb.Lookup(pc); ok {
-				predictedNext = tgt
-			} else {
-				// Predicted taken but no target known: cannot redirect.
-				predictedNext = fallPC
-			}
-		} else {
-			predictedNext = fallPC
+			// Predicted taken: redirect only if the BTB knows a target.
+			predictedNext = c.btbTarget(pc, fallPC)
 		}
 	case op == isa.OpJ:
 		predictedNext = tr.NextPC // direct target, decoded in fetch
@@ -257,23 +241,14 @@ func (c *CPU) predictAndMaybeStall(fe *fetchEntry) (stop bool) {
 		c.ras.Push(fallPC)
 	case op == isa.OpJalr:
 		c.ras.Push(fallPC)
-		if tgt, ok := c.btb.Lookup(pc); ok {
+		predictedNext = c.btbTarget(pc, fallPC)
+	case op == isa.OpJr && tr.Inst.Rs1 == isa.RegRA:
+		predictedNext = fallPC
+		if tgt, ok := c.ras.Pop(); ok {
 			predictedNext = tgt
-		} else {
-			predictedNext = fallPC
 		}
 	case op == isa.OpJr:
-		if tr.Inst.Rs1 == isa.RegRA {
-			if tgt, ok := c.ras.Pop(); ok {
-				predictedNext = tgt
-			} else {
-				predictedNext = fallPC
-			}
-		} else if tgt, ok := c.btb.Lookup(pc); ok {
-			predictedNext = tgt
-		} else {
-			predictedNext = fallPC
-		}
+		predictedNext = c.btbTarget(pc, fallPC)
 	}
 
 	if predictedNext != tr.NextPC {
@@ -305,38 +280,28 @@ func (c *CPU) predictAndMaybeStall(fe *fetchEntry) (stop bool) {
 // Dispatch
 // ---------------------------------------------------------------------
 
-// rReserve is the number of RUU slots P-stream dispatch may never take
-// on a REESE machine, guaranteeing the R-stream Queue can always
-// dispatch copies and drain — without it a full RSQ and a P-full RUU
-// would deadlock each other.
-const rReserve = 2
-
-// dispatch fills up to Width slots per cycle. On a REESE machine each
-// slot chooses between the next decoded P-stream instruction and the
-// head of the R-stream Queue (paper §4.3): P normally has priority, but
-// once RSQ occupancy crosses the high-water mark the R stream goes
-// first so the queue drains.
-func (c *CPU) dispatch() int {
-	rFirst := c.rsq != nil && c.rsq.PressureHigh()
-	if rFirst {
-		c.rsq.NotePriorityCycle()
-	}
+// dispatch fills up to Width slots per cycle. Each slot takes the next
+// decoded P-stream instruction or the scheme's next redundant copy,
+// whichever rFirst (the scheme's per-cycle priority, paper §4.3) puts
+// first.
+func (c *CPU) dispatch(rFirst bool) int {
 	moved := 0
-	for n := 0; n < c.cfg.Width; n++ {
-		if rFirst {
-			if c.dispatchR() || c.dispatchP() {
-				moved++
-				continue
-			}
-			break
-		}
-		if c.dispatchP() || (c.rsq != nil && c.dispatchR()) {
-			moved++
-			continue
-		}
-		break
+	for moved < c.cfg.Width &&
+		(rFirst && c.scheme.dispatchR(c) || c.dispatchP() || !rFirst && c.scheme.dispatchR(c)) {
+		moved++
 	}
 	return moved
+}
+
+// blockDispatch counts a structural dispatch block and records it for
+// the slot-attribution matrix.
+func (c *CPU) blockDispatch(cause obs.StallCause) {
+	if cause == obs.CauseDispatchLSQFull {
+		c.dispatchLSQFull++
+	} else {
+		c.dispatchRUUFull++
+	}
+	c.noteDispatchBlock(cause)
 }
 
 // noteDispatchBlock records the first structural reason dispatch
@@ -355,18 +320,16 @@ func (c *CPU) dispatchCause() obs.StallCause {
 	if c.dispCause != obs.CauseNone {
 		return c.dispCause
 	}
+	return c.frontEndCause()
+}
+
+// frontEndCause charges idle slots to the front end: the post-halt drain
+// once nothing is left to fetch or replay, an empty fetch queue before.
+func (c *CPU) frontEndCause() obs.StallCause {
 	if c.oracleDone && c.fetchLen == 0 && !c.hasPending && c.replayHead >= len(c.replayQ) {
 		return obs.CauseDrain
 	}
 	return obs.CauseFetchEmpty
-}
-
-// windowFree returns the number of unoccupied window slots. P-stream
-// instructions occupy a slot while resident in the RUU; dispatched,
-// unfinished R copies occupy one until their comparison completes (the
-// slot collapses as soon as the re-execution is checked).
-func (c *CPU) windowFree() int {
-	return c.cfg.RUUSize - c.ruu.Len() - c.rLive
 }
 
 // dispatchP moves one instruction from the fetch queue into the RUU
@@ -375,44 +338,30 @@ func (c *CPU) dispatchP() bool {
 	if c.fetchLen == 0 {
 		return false
 	}
-	free := c.windowFree()
-	if free <= 0 || (c.rsq != nil && free <= rReserve) || c.ruu.Full() {
-		c.dispatchRUUFull++
-		c.noteDispatchBlock(obs.CauseDispatchRUUFull)
+	// fe stays valid after the pop below: nothing refills its ring slot
+	// before fetch runs.
+	fe := c.fetchQFront()
+	if c.ruu.Full() {
+		c.blockDispatch(obs.CauseDispatchRUUFull)
 		return false
 	}
-	fe := *c.fetchQFront()
+	if cause := c.scheme.admit(c, fe); cause != obs.CauseNone {
+		c.blockDispatch(cause)
+		return false
+	}
 	if fe.bogus && !c.wpMarked {
 		// First wrong-path entry reaching dispatch: everything in the
 		// LSQ from here on is squashable.
 		c.wpLsqMark = c.lsq.NextSeq()
 		c.wpMarked = true
 	}
-	// Duplicate-at-dispatch mode needs room for the whole pair before
-	// dispatching either half (bogus wrong-path entries stay single).
-	needDup := c.dupMode && !fe.bogus
-	if needDup {
-		isMem := fe.tr.Inst.Op.IsMem()
-		if c.windowFree() < 2 || c.ruu.Cap()-c.ruu.Len() < 2 {
-			c.dispatchRUUFull++
-			c.noteDispatchBlock(obs.CauseDispatchRUUFull)
-			return false
-		}
-		if isMem && c.lsq.Cap()-c.lsq.Len() < 2 {
-			c.dispatchLSQFull++
-			c.noteDispatchBlock(obs.CauseDispatchLSQFull)
-			return false
-		}
-	}
 	lsqSeq := ruu.NoProducer
 	if fe.tr.Inst.Op.IsMem() {
 		if c.lsq.Full() {
-			c.dispatchLSQFull++
-			c.noteDispatchBlock(obs.CauseDispatchLSQFull)
+			c.blockDispatch(obs.CauseDispatchLSQFull)
 			return false
 		}
-		le := c.lsq.Dispatch(fe.tr, c.ruu.NextSeq())
-		lsqSeq = le.MemSeq
+		lsqSeq = c.lsq.Dispatch(fe.tr, c.ruu.NextSeq()).MemSeq
 	}
 	e := c.ruu.Dispatch(fe.tr, lsqSeq)
 	e.Mispredicted = fe.mispredicted && !fe.bogus
@@ -428,43 +377,7 @@ func (c *CPU) dispatchP() bool {
 		c.recordAt(fe.fetchedAt, obs.EvFetch, e.Seq, &e.Trace, 0, -1)
 		c.record(obs.EvDispatch, e.Seq, &e.Trace, 0, -1)
 	}
-	if needDup {
-		dupLSQ := ruu.NoProducer
-		if fe.tr.Inst.Op.IsMem() {
-			le := c.lsq.Dispatch(fe.tr, c.ruu.NextSeq())
-			dupLSQ = le.MemSeq
-		}
-		d := c.ruu.DispatchDup(fe.tr, e.Seq, e.Dep1, e.Dep2, dupLSQ)
-		if c.traceW != nil {
-			c.traceEvent(EvDispatch, &d.Trace, fmt.Sprintf("seq=%d (duplicate of %d)", d.Seq, e.Seq))
-		}
-	}
-	return true
-}
-
-// dispatchR moves the R-stream Queue's oldest undispatched copy into
-// the execution window, reporting whether it did. R copies carry their
-// operands, so they claim no rename slot and track no dependencies, but
-// they occupy a window slot and a dispatch slot like any other
-// instruction — this sharing is where REESE's overhead comes from.
-func (c *CPU) dispatchR() bool {
-	e := c.rsq.NextToDispatch()
-	if e == nil {
-		return false
-	}
-	if c.windowFree() <= 0 {
-		c.dispatchRUUFull++
-		c.noteDispatchBlock(obs.CauseDispatchRUUFull)
-		return false
-	}
-	c.rLive++
-	c.rsq.MarkDispatched(e)
-	if c.traceW != nil {
-		c.traceEvent(EvDispatchR, &e.Trace, fmt.Sprintf("qseq=%d", e.QSeq))
-	}
-	if c.recorder != nil {
-		c.record(obs.EvDispatchR, e.Seq, &e.Trace, 0, -1)
-	}
+	c.scheme.dispatched(c, fe, e)
 	return true
 }
 
@@ -472,20 +385,17 @@ func (c *CPU) dispatchR() bool {
 // Issue
 // ---------------------------------------------------------------------
 
-// issue selects up to IssueWidth ready instructions. P-stream
-// instructions have priority; R-stream copies fill the remaining slots
-// — unless the R-stream Queue has crossed its high-water mark, in which
-// case the priorities invert so the queue drains (paper §4.3).
-func (c *CPU) issue() int {
+// issue selects up to IssueWidth ready instructions: P-stream
+// instructions first and the scheme's redundant copies in the remaining
+// slots, or the other way round when rFirst (paper §4.3).
+func (c *CPU) issue(rFirst bool) int {
 	budget := c.cfg.IssueWidth
-	if c.rsq != nil && c.rsq.PressureHigh() {
-		c.issueR(&budget)
-		c.issueP(&budget)
-		return c.cfg.IssueWidth - budget
+	if rFirst {
+		budget = c.scheme.issueR(c, budget)
 	}
 	c.issueP(&budget)
-	if c.rsq != nil {
-		c.issueR(&budget)
+	if !rFirst {
+		budget = c.scheme.issueR(c, budget)
 	}
 	return c.cfg.IssueWidth - budget
 }
@@ -501,16 +411,10 @@ func (c *CPU) issueCause() obs.StallCause {
 	if c.issueNotReady {
 		return obs.CauseIssueWait
 	}
-	if c.ruu.Len() > 0 || c.rLive > 0 {
+	if c.ruu.Len() > 0 || c.scheme.inFlight() > 0 {
 		return obs.CauseExecLatency
 	}
-	if c.fetchLen > 0 {
-		return obs.CauseFetchEmpty
-	}
-	if c.oracleDone && !c.hasPending && c.replayHead >= len(c.replayQ) {
-		return obs.CauseDrain
-	}
-	return obs.CauseFetchEmpty
+	return c.frontEndCause()
 }
 
 // issueP issues ready P-stream instructions from the RUU, oldest first.
@@ -527,81 +431,53 @@ func (c *CPU) issueP(budget *int) {
 			return true
 		}
 		op := e.Trace.Inst.Op
-		if e.Bogus && op.IsMem() {
-			// Wrong-path memory operations consume a port but bypass
-			// the data cache (their addresses are placeholders; real
-			// hardware would access speculative state we don't model).
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			e.FUKind, e.FUUnit = uint8(fu.MemPort), unit
-			if e.LSQSeq != ruu.NoProducer && c.lsq.Resident(e.LSQSeq) {
-				c.lsq.Get(e.LSQSeq).Issued = true
-			}
-			c.markIssued(e, c.cycle+uint64(c.cfg.Memory.L1D.HitLatency))
-			*budget--
-			return true
-		}
-		switch {
-		case op.IsLoad():
-			switch c.lsq.CheckLoad(e.LSQSeq) {
-			case ruu.LoadBlocked:
+		load := ruu.LoadFromCache
+		if op.IsLoad() && !e.Bogus {
+			if load = c.lsq.CheckLoad(e.LSQSeq); load == ruu.LoadBlocked {
 				// Waiting for earlier store addresses: a readiness wait,
 				// not an FU shortage.
 				c.issueNotReady = true
 				return true
-			case ruu.LoadForward:
-				// Store-to-load forwarding inside the LSQ: 1 cycle, no
-				// cache port needed. The port fields are still stamped
-				// (unit -1) so the recorder lanes stay truthful.
-				le := c.lsq.Get(e.LSQSeq)
-				le.Issued = true
-				le.Forwarded = true
-				e.FUKind, e.FUUnit = uint8(fu.MemPort), -1
-				c.markIssued(e, c.cycle+1)
-				*budget--
-			case ruu.LoadFromCache:
-				unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-				if !ok {
-					c.issueNoFU = true
-					return true
-				}
-				e.FUKind, e.FUUnit = uint8(fu.MemPort), unit
-				lat := c.hier.DataLatency(e.Trace.Addr, false)
-				c.lsq.Get(e.LSQSeq).Issued = true
-				c.markIssued(e, c.cycle+uint64(lat))
-				*budget--
 			}
-		case op.IsStore():
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			e.FUKind, e.FUUnit = uint8(fu.MemPort), unit
-			// The architectural cache write happens once, on the
-			// verified side: at issue on a plain baseline, on the
-			// duplicate copy in dup-dispatch mode, and at R-stream
-			// issue under REESE.
-			if (c.rsq == nil && !c.dupMode) || (c.dupMode && e.Dup) {
-				c.hier.DataLatency(e.Trace.Addr, true)
-			}
-			c.lsq.Get(e.LSQSeq).Issued = true
-			c.markIssued(e, c.cycle+1)
-			*budget--
-		default:
-			kind := fu.KindFor(op.Class())
-			unit, ok := c.pool.AcquireUnit(kind, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			e.FUKind, e.FUUnit = uint8(kind), unit
-			c.markIssued(e, c.cycle+uint64(op.OpLatency()))
-			*budget--
 		}
+		kind, unit := fu.KindFor(op.Class()), -1
+		if load != ruu.LoadForward {
+			var ok bool
+			if unit, ok = c.pool.AcquireUnit(kind, c.cycle, op.IssueLatency()); !ok {
+				c.issueNoFU = true
+				return true
+			}
+		}
+		e.FUKind, e.FUUnit = uint8(kind), unit
+		doneAt := c.cycle + 1
+		switch {
+		case e.Bogus && op.IsMem():
+			// Wrong-path memory operations consume a port but bypass
+			// the data cache (their addresses are placeholders; real
+			// hardware would access speculative state we don't model).
+			if e.LSQSeq != ruu.NoProducer && c.lsq.Resident(e.LSQSeq) {
+				c.lsq.Get(e.LSQSeq).Issued = true
+			}
+			doneAt = c.cycle + uint64(c.cfg.Memory.L1D.HitLatency)
+		case load == ruu.LoadForward:
+			// Store-to-load forwarding inside the LSQ: 1 cycle, no
+			// cache port needed. The port fields are still stamped
+			// (unit -1) so the recorder lanes stay truthful.
+			le := c.lsq.Get(e.LSQSeq)
+			le.Issued, le.Forwarded = true, true
+		case op.IsLoad():
+			doneAt = c.cycle + uint64(c.hier.DataLatency(e.Trace.Addr, false))
+			c.lsq.Get(e.LSQSeq).Issued = true
+		case op.IsStore():
+			// The architectural cache write happens once, on the side
+			// the scheme verifies.
+			c.scheme.issueStore(c, e)
+			c.lsq.Get(e.LSQSeq).Issued = true
+		default:
+			doneAt = c.cycle + uint64(op.OpLatency())
+		}
+		c.markIssued(e, doneAt)
+		*budget--
 		return true
 	})
 }
@@ -618,73 +494,6 @@ func (c *CPU) markIssued(e *ruu.Entry, doneAt uint64) {
 	}
 }
 
-// issueR issues dispatched R-stream copies. They carry their operands,
-// so readiness is never in question — only functional-unit
-// availability. Copies blocked on a busy unit class are skipped; they
-// hold their window slot until they get one, which is exactly how FU
-// shortage turns into window pressure on the P stream (and why spare
-// elements recover performance).
-func (c *CPU) issueR(budget *int) {
-	c.rsq.Scan(func(e *reese.Entry) bool {
-		if *budget <= 0 {
-			return false
-		}
-		if !e.Dispatched || e.Issued {
-			return true
-		}
-		op := e.Trace.Inst.Op
-		var doneAt uint64
-		rKind := fu.MemPort
-		rUnit := -1
-		switch {
-		case op.IsLoad():
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			rUnit = unit
-			// The R-stream load re-reads the D-cache; the P stream
-			// brought the line in, so this almost always hits (§4.4).
-			lat := c.hier.DataLatency(e.Trace.Addr, false)
-			doneAt = c.cycle + uint64(lat)
-		case op.IsStore():
-			unit, ok := c.pool.AcquireUnit(fu.MemPort, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			rUnit = unit
-			// This is the architectural cache write, performed only on
-			// the verified path (the store buffer drains here).
-			c.hier.DataLatency(e.Trace.Addr, true)
-			doneAt = c.cycle + 1
-		default:
-			kind := fu.KindFor(op.Class())
-			unit, ok := c.pool.AcquireUnit(kind, c.cycle, op.IssueLatency())
-			if !ok {
-				c.issueNoFU = true
-				return true
-			}
-			rKind, rUnit = kind, unit
-			doneAt = c.cycle + uint64(op.OpLatency())
-		}
-		e.RKind, e.RUnit = uint8(rKind), rUnit
-		if c.stuck != nil && c.stuck.Hits(uint8(rKind), rUnit) {
-			e.RFaultMask = c.stuck.Mask()
-		}
-		c.rsq.MarkIssued(e, c.cycle, doneAt)
-		if c.traceW != nil {
-			c.traceEvent(EvIssueR, &e.Trace, fmt.Sprintf("done@%d", doneAt))
-		}
-		if c.recorder != nil {
-			c.record(obs.EvIssueR, e.Seq, &e.Trace, uint8(rKind)+1, int16(rUnit))
-		}
-		*budget--
-		return true
-	})
-}
-
 // ---------------------------------------------------------------------
 // Writeback
 // ---------------------------------------------------------------------
@@ -692,17 +501,14 @@ func (c *CPU) issueR(budget *int) {
 // writeback completes executions whose latency has elapsed: P-stream
 // completions resolve branches (unblocking fetch on mispredictions) and
 // latch results — the point where the fault injector may corrupt them.
-// R-stream completions run the comparator.
+// The scheme's comparator then checks what completed.
 func (c *CPU) writeback() {
 	c.ruu.Scan(func(e *ruu.Entry) bool {
 		if !e.Issued || e.Completed || e.DoneAt > c.cycle {
 			return true
 		}
 		e.Completed = true
-		c.traceEvent(EvWriteback, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvWriteback, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
-		}
+		c.event(EvWriteback, e.Seq, &e.Trace, "", e.FUKind+1, int16(e.FUUnit))
 		if e.Bogus {
 			// Wrong-path completions update nothing architectural: no
 			// predictor training, no fault injection.
@@ -729,10 +535,7 @@ func (c *CPU) writeback() {
 			e.ResultP, e.NextPCP, e.AddrP, e.StoreValueP = fault.Apply(inj, e.Trace)
 			e.FaultBit = inj.Bit % 32
 			e.FaultCycle = c.cycle
-			if c.faultCycle == 0 {
-				c.faultCycle = c.cycle
-			}
-			c.injected++
+			c.noteInjection()
 			if c.traceW != nil {
 				c.traceEvent(EvFaultInjected, &e.Trace, fmt.Sprintf("bit %d", e.FaultBit))
 			}
@@ -743,35 +546,7 @@ func (c *CPU) writeback() {
 		return true
 	})
 
-	if c.rsq == nil {
-		return
-	}
-	// The comparator sits between writeback and commit: completed
-	// re-executions check against the latched P-stream outcome and
-	// release their window slot.
-	var bad *reese.Entry
-	c.rsq.Scan(func(e *reese.Entry) bool {
-		if !e.Issued || e.Done || e.DoneAt > c.cycle {
-			return true
-		}
-		c.rLive--
-		if !c.rsq.Compare(e) {
-			bad = e
-			c.traceEvent(EvMismatch, &e.Trace, "comparator hit: soft error detected")
-			if c.recorder != nil {
-				c.record(obs.EvMismatch, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
-			}
-			return false // recovery flushes everything anyway
-		}
-		c.traceEvent(EvVerify, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvVerify, e.Seq, &e.Trace, e.RKind+1, int16(e.RUnit))
-		}
-		return true
-	})
-	if bad != nil {
-		c.onMismatch(bad)
-	}
+	c.scheme.verify(c)
 }
 
 // resolveControl trains the predictors with the true outcome and, for
@@ -803,12 +578,7 @@ func (c *CPU) resolveControl(e *ruu.Entry) {
 // work consumed real bandwidth, window slots, and functional units —
 // the cost the stall model approximates with a flat penalty.
 func (c *CPU) squashWrongPath(branch *ruu.Entry) {
-	cut := branch.Seq
-	if c.dupMode {
-		// The branch's duplicate (dispatched atomically with it, before
-		// any wrong-path entry) must survive the squash.
-		cut++
-	}
+	cut := c.scheme.squashCut(branch.Seq)
 	squashed := c.ruu.NextSeq() - cut - 1
 	c.wpSquashed += squashed
 	c.ruu.TruncateAfter(cut)
@@ -835,56 +605,32 @@ func (c *CPU) squashWrongPath(branch *ruu.Entry) {
 // Commit
 // ---------------------------------------------------------------------
 
-// commit retires instructions in program order, returning how many
-// commit slots did work this cycle. Baseline machines retire directly
-// from the RUU head. REESE machines retire verified instructions from
-// the R-stream Queue head and refill the queue from the RUU head (this
-// is the only place a full RSQ back-pressures the P stream). When
-// slots go unused, the blocking cause is resolved from the machine
-// state the moment commit gave up — before writeback and issue mutate
-// it — and charged in chargeStalls at the end of the cycle.
+// commit retires instructions in program order through the scheme,
+// returning how many commit slots did work this cycle. When slots go
+// unused, the blocking cause is resolved from the machine state the
+// moment commit gave up — before writeback and issue mutate it — and
+// charged in chargeStalls at the end of the cycle.
 func (c *CPU) commit() int {
-	var used int
+	used := c.scheme.commit(c)
 	switch {
-	case c.dupMode:
-		used = c.commitDup()
-	case c.rsq == nil:
-		used = c.commitBaseline()
-	default:
-		used = c.commitReese()
-	}
-	if used < c.cfg.Width {
-		c.commitBlock = c.commitCause()
-	} else {
+	case used == c.cfg.Width:
 		c.commitBlock = obs.CauseNone
+	case c.done || c.permError:
+		c.commitBlock = obs.CauseDrain
+	default:
+		c.commitBlock = c.scheme.commitStall(c)
 	}
 	return used
 }
 
-// commitCause inspects the oldest blocked instruction and names the one
-// thing stopping commit — top-down accounting in the style of the
-// paper's utilization figures. Precedence runs back-to-front: an
-// unverified RSQ head outranks anything upstream; an empty machine
-// blames the front end (or the post-halt drain).
-func (c *CPU) commitCause() obs.StallCause {
-	if c.done || c.permError {
-		return obs.CauseDrain
-	}
-	if c.rsq != nil && !c.rsq.Empty() {
-		// The RSQ head has not been verified yet. When the queue is also
-		// full it is crammed faster than the R stream can drain it — the
-		// paper's overflow condition (§4.3) — which is the actionable
-		// signal, so it takes the charge.
-		if c.rsq.Full() {
-			return obs.CauseRSQFull
-		}
-		return obs.CauseRecheckPending
-	}
+// windowStall names the one thing stopping the RUU head from leaving —
+// top-down accounting in the style of the paper's utilization figures.
+// An empty machine blames the front end (or the post-halt drain);
+// latched is the scheme's charge for a head that finished but could not
+// move on.
+func (c *CPU) windowStall(latched obs.StallCause) obs.StallCause {
 	if c.ruu.Empty() {
-		if c.fetchLen == 0 && c.oracleDone && !c.hasPending && c.replayHead >= len(c.replayQ) {
-			return obs.CauseDrain
-		}
-		return obs.CauseFetchEmpty
+		return c.frontEndCause()
 	}
 	h := c.ruu.Head()
 	if !h.Issued {
@@ -898,210 +644,9 @@ func (c *CPU) commitCause() obs.StallCause {
 	if !h.Completed || h.DoneAt > c.cycle {
 		return obs.CauseExecLatency
 	}
-	// Head latched its result but could not move on. In dup mode it
-	// waits for its duplicate; under REESE a latched head failing to
-	// enter the queue means the refill loop hit a full RSQ.
-	if c.rsq != nil {
-		return obs.CauseRSQFull
-	}
-	return obs.CauseExecLatency
+	return latched
 }
 
-func (c *CPU) commitReese() int {
-	// Retire verified instructions from the RSQ head. Their LSQ entries
-	// were already released when they entered the RSQ: the queue entry
-	// carries the operands and result, and unverified stores forward to
-	// younger loads from there (the paper's extra forwarding hardware,
-	// §4.3).
-	used := 0
-	for n := 0; n < c.cfg.Width && !c.rsq.Empty(); n++ {
-		h := c.rsq.Head()
-		if !h.Verified {
-			break
-		}
-		e := c.rsq.RetireHead()
-		used++
-		c.traceEvent(EvCommit, &e.Trace, "verified")
-		if c.recorder != nil {
-			c.record(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
-		}
-		c.retire(e.Trace, false, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
-		if c.done {
-			return used
-		}
-	}
-
-	// Move completed instructions from the RUU head into the RSQ.
-	for n := 0; n < c.cfg.Width && !c.ruu.Empty(); n++ {
-		h := c.ruu.Head()
-		if !h.Completed || h.DoneAt > c.cycle {
-			break
-		}
-		if c.rsq.Full() {
-			c.rsq.NoteFullStall()
-			break
-		}
-		e := c.ruu.RemoveHead()
-		if e.Bogus {
-			panic(fmt.Sprintf("pipeline: bogus instruction reached the R-stream Queue: seq=%d pc=%#x %s", e.Seq, e.Trace.PC, e.Trace.Inst))
-		}
-		if e.LSQSeq != ruu.NoProducer {
-			c.lsq.RemoveHead()
-		}
-		c.traceEvent(EvEnterRSQ, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvEnterRSQ, e.Seq, &e.Trace, 0, -1)
-		}
-		ent := reese.Entry{
-			Seq:         e.Seq,
-			Trace:       e.Trace,
-			ResultP:     e.ResultP,
-			NextPCP:     e.NextPCP,
-			AddrP:       e.AddrP,
-			StoreValueP: e.StoreValueP,
-			FaultBit:    e.FaultBit,
-			FaultCycle:  e.FaultCycle,
-			LSQSeq:      e.LSQSeq,
-		}
-		if e.Seq >= c.hookHorizon {
-			c.hookHorizon = e.Seq + 1
-		}
-		if c.sites != nil {
-			if cor, ok := c.sites.RSQEnqueue(e.Seq, e.Trace); ok {
-				// A transient in the RSQ itself: the stored copies are
-				// corrupted while e.Trace (what recovery replays) stays
-				// clean, so a detected RSQ fault recovers cleanly.
-				ent.ResultP ^= cor.ResultMask
-				ent.NextPCP ^= cor.NextPCMask
-				ent.AddrP ^= cor.AddrMask
-				ent.StoreValueP ^= cor.StoreMask
-				ent.OperandAMask = cor.OperandAMask
-				ent.OperandBMask = cor.OperandBMask
-				ent.CompIgnore = cor.CompIgnoreMask
-				ent.FaultBit = cor.Bit % 32
-				ent.FaultCycle = c.cycle
-				if c.faultCycle == 0 {
-					c.faultCycle = c.cycle
-				}
-				c.injected++
-				if c.traceW != nil {
-					c.traceEvent(EvFaultInjected, &e.Trace, fmt.Sprintf("rsq bit %d", ent.FaultBit))
-				}
-				if c.recorder != nil {
-					c.record(obs.EvFaultInjected, e.Seq, &e.Trace, 0, -1)
-				}
-			}
-		}
-		c.rsq.Enqueue(ent, c.cycle)
-	}
-	return used
-}
-
-func (c *CPU) commitBaseline() int {
-	used := 0
-	for n := 0; n < c.cfg.Width && !c.ruu.Empty(); n++ {
-		h := c.ruu.Head()
-		if !h.Completed || h.DoneAt > c.cycle {
-			break
-		}
-		e := c.ruu.RemoveHead()
-		if e.Bogus {
-			// A wrong-path instruction can never reach commit: its
-			// mispredicted branch resolves (and squashes it) strictly
-			// before leaving the window.
-			panic(fmt.Sprintf("pipeline: bogus instruction reached commit: seq=%d pc=%#x %s", e.Seq, e.Trace.PC, e.Trace.Inst))
-		}
-		used++
-		c.traceEvent(EvCommit, &e.Trace, "")
-		if c.recorder != nil {
-			c.record(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
-		}
-		c.retire(e.Trace, e.LSQSeq != ruu.NoProducer, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
-		if c.done {
-			break
-		}
-	}
-	return used
-}
-
-// commitDup retires (original, duplicate) pairs in order, comparing the
-// two executions' latched outcomes — the Franklin [24] scheme the paper
-// positions REESE against. Both halves consume commit bandwidth.
-func (c *CPU) commitDup() int {
-	used := 0
-	for n := 0; n+1 < c.cfg.Width && c.ruu.Len() >= 2; n += 2 {
-		h := c.ruu.Head()
-		if !h.Completed || h.DoneAt > c.cycle {
-			return used
-		}
-		if h.Bogus {
-			// Should be unreachable (squash precedes commit), but a
-			// single bogus entry has no pair; guard explicitly.
-			panic("pipeline: bogus instruction reached dup commit")
-		}
-		d := c.ruu.Get(h.Seq + 1)
-		if !d.Dup || d.PairSeq != h.Seq {
-			panic(fmt.Sprintf("pipeline: dup pairing broken at seq %d", h.Seq))
-		}
-		if !d.Completed || d.DoneAt > c.cycle {
-			return used
-		}
-		match := h.ResultP == d.ResultP && h.NextPCP == d.NextPCP &&
-			h.AddrP == d.AddrP && h.StoreValueP == d.StoreValueP
-		if !match {
-			c.onMismatchDup(h, d)
-			return used
-		}
-		// A fault that corrupted BOTH copies identically (a common-mode
-		// or permanent fault hitting the same computation twice) passes
-		// the comparator: that is pure duplication's blind spot, and it
-		// retires as silent corruption. REESE's recomputation-based
-		// comparator does not share it.
-		commonMode := h.HasFault() || d.HasFault()
-		e := c.ruu.RemoveHead()
-		c.ruu.RemoveHead()
-		if e.LSQSeq != ruu.NoProducer {
-			c.lsq.RemoveHead()
-			c.lsq.RemoveHead() // the duplicate's entry is adjacent
-		}
-		used += 2 // both halves of the pair consume commit bandwidth
-		c.traceEvent(EvCommit, &e.Trace, "pair verified")
-		if c.recorder != nil {
-			c.record(obs.EvCommit, e.Seq, &e.Trace, 0, -1)
-		}
-		c.retire(e.Trace, false, commonMode, e.ResultP, e.AddrP, e.StoreValueP)
-		if c.done {
-			return used
-		}
-	}
-	return used
-}
-
-// onMismatchDup handles a failed pair comparison: account the
-// detection, then flush and replay, mirroring the RSQ path.
-func (c *CPU) onMismatchDup(orig, dup *ruu.Entry) {
-	c.detected++
-	c.traceEvent(EvMismatch, &orig.Trace, "pair comparator hit")
-	if c.recorder != nil {
-		c.record(obs.EvMismatch, orig.Seq, &orig.Trace, 0, -1)
-	}
-	switch {
-	case orig.HasFault():
-		c.detectLat.Add(c.cycle - orig.FaultCycle)
-	case dup.HasFault():
-		c.detectLat.Add(c.cycle - dup.FaultCycle)
-	}
-	if c.lastBadLive && orig.Trace.PC == c.lastBadPC {
-		c.permError = true
-		return
-	}
-	c.lastBadPC = orig.Trace.PC
-	c.lastBadLive = true
-	c.recover(orig.Seq)
-}
-
-// retire performs the architectural retirement bookkeeping shared by
-// both machines.
 // retire commits one instruction architecturally. resultP, addrP and
 // storeValueP are the latched values that actually commit (possibly
 // corrupted by an undetected fault); they feed the shadow register file
@@ -1163,22 +708,41 @@ func (c *CPU) retire(tr emu.Trace, isMem, hadFault bool, resultP, addrP, storeVa
 // Fault recovery
 // ---------------------------------------------------------------------
 
-// onMismatch handles a comparator hit: account for the detection, then
-// flush the pipeline and replay from the faulting instruction (§4.3). A
-// second consecutive mismatch at the same PC is treated as a permanent
-// error and stops the machine.
-func (c *CPU) onMismatch(bad *reese.Entry) {
-	c.detected++
-	if bad.HasFault() {
-		c.detectLat.Add(c.cycle - bad.FaultCycle)
+// noteInjection accounts a fault the injector just fired.
+func (c *CPU) noteInjection() {
+	c.injected++
+	if c.faultCycle == 0 {
+		c.faultCycle = c.cycle
 	}
-	if c.lastBadLive && bad.Trace.PC == c.lastBadPC {
+}
+
+// noteOracleInjection accounts a fault fired into the oracle or the
+// memory hierarchy, which the recorder marks at the oracle's PC.
+func (c *CPU) noteOracleInjection() {
+	c.noteInjection()
+	if c.recorder != nil {
+		inj := emu.Trace{PC: c.oracle.PC()}
+		c.record(EvFaultInjected, c.oracle.InstCount(), &inj, 0, 0)
+	}
+}
+
+// onMismatch handles a comparator hit on instruction seq at pc: account
+// for the detection (with its latency when the instruction carries a
+// fault planted at faultCycle), then flush the pipeline and replay from
+// the faulting instruction (§4.3). A second consecutive mismatch at the
+// same PC is treated as a permanent error and stops the machine.
+func (c *CPU) onMismatch(seq uint64, pc uint32, faulted bool, faultCycle uint64) {
+	c.detected++
+	if faulted {
+		c.detectLat.Add(c.cycle - faultCycle)
+	}
+	if c.lastBadLive && pc == c.lastBadPC {
 		c.permError = true
 		return
 	}
-	c.lastBadPC = bad.Trace.PC
+	c.lastBadPC = pc
 	c.lastBadLive = true
-	c.recover(bad.Seq)
+	c.recover(seq)
 }
 
 // recover force-retires everything older than faultSeq, then flushes all
@@ -1197,20 +761,7 @@ func (c *CPU) recover(faultSeq uint64) {
 	// Rebuild the replay queue into the spare buffer, then swap the two
 	// so the next recovery reuses this one's backing array: after the
 	// first couple of recoveries the rebuild allocates nothing.
-	replay := c.replayScratch[:0]
-	if c.rsq != nil {
-		c.rsq.Scan(func(e *reese.Entry) bool {
-			if e.Seq >= faultSeq {
-				replay = append(replay, e.Trace)
-			} else {
-				// Older than the fault: already executed; it retires
-				// with the flush (its verification outcome is what it
-				// is).
-				c.retire(e.Trace, false, false, e.ResultP, e.AddrP, e.StoreValueP)
-			}
-			return true
-		})
-	}
+	replay := c.scheme.drain(c, faultSeq, c.replayScratch[:0])
 	c.ruu.Scan(func(e *ruu.Entry) bool {
 		if !e.Bogus && !e.Dup {
 			replay = append(replay, e.Trace)
@@ -1229,13 +780,9 @@ func (c *CPU) recover(faultSeq uint64) {
 	c.replayScratch = c.replayQ[:0]
 	c.replayQ = replay
 	c.replayHead = 0
-	if c.rsq != nil {
-		c.rsq.Flush()
-	}
 	c.ruu.Flush()
 	c.lsq.Flush()
 	c.fetchQClear()
-	c.rLive = 0
 	c.pool.Reset()
 	c.fetchStalled = false
 	c.wrongPath = false

@@ -58,6 +58,20 @@ func (c *CPU) traceEvent(kind EventKind, tr *emu.Trace, detail string) {
 	fmt.Fprintf(c.traceW, "%8d %-10s %#08x %s\n", c.cycle, kind, tr.PC, tr.Inst.String())
 }
 
+// event emits one lifecycle event to the text trace (with detail) and
+// the flight recorder, each only when armed. It inlines to two nil
+// checks when neither is.
+func (c *CPU) event(kind EventKind, seq uint64, tr *emu.Trace, detail string, fuKind uint8, unit int16) {
+	if c.traceW != nil || c.recorder != nil {
+		c.emit(kind, seq, tr, detail, fuKind, unit)
+	}
+}
+
+func (c *CPU) emit(kind EventKind, seq uint64, tr *emu.Trace, detail string, fuKind uint8, unit int16) {
+	c.traceEvent(kind, tr, detail)
+	c.recordAt(c.cycle, kind, seq, tr, fuKind, unit)
+}
+
 // SetRecorder arms the flight recorder: every lifecycle event is also
 // appended to r's ring buffer (fixed cost, no allocation). Call before
 // Run; nil disarms. Dump with r.WriteChromeTrace after the run.

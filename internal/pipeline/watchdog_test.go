@@ -80,7 +80,7 @@ func TestCommitDigestMatchesEmulatorOnCleanRun(t *testing.T) {
 	}
 	want := m.Digest()
 
-	for _, cfg := range []config.Machine{config.Starting(), config.Starting().WithReese()} {
+	for _, cfg := range schemeMachines() {
 		cpu, err := New(cfg, mustProg(t, src), nil)
 		if err != nil {
 			t.Fatal(err)

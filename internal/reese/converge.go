@@ -24,7 +24,7 @@ func (q *Queue) StateConverged(o *Queue, nowQ, nowO uint64, lsqQ, lsqO SeqNorm) 
 	if q.size != o.size || q.highWater != o.highWater || q.every != o.every || q.reso != o.reso {
 		return false
 	}
-	if q.Len() != o.Len() {
+	if q.Len() != o.Len() || q.live != o.live {
 		return false
 	}
 	for i := uint64(0); i < uint64(q.Len()); i++ {
@@ -62,17 +62,19 @@ func (q *Queue) StateConverged(o *Queue, nowQ, nowO uint64, lsqQ, lsqO SeqNorm) 
 // is re-executed).
 func (q *Queue) Every() int { return q.every }
 
-// ExtrapolateStats advances the per-cycle counters as if the machine
-// repeated its last cycle n more times: prev is the counter snapshot
-// one cycle ago, and each counter grows by n times its last-cycle
-// delta. Used by the hang fast-forward, where the repeated cycle's
-// deltas are provably constant.
-func (q *Queue) ExtrapolateStats(prev Stats, n uint64) {
-	q.stats.Enqueued += (q.stats.Enqueued - prev.Enqueued) * n
-	q.stats.Reexecuted += (q.stats.Reexecuted - prev.Reexecuted) * n
-	q.stats.Verified += (q.stats.Verified - prev.Verified) * n
-	q.stats.Mismatches += (q.stats.Mismatches - prev.Mismatches) * n
-	q.stats.Skipped += (q.stats.Skipped - prev.Skipped) * n
-	q.stats.FullStalls += (q.stats.FullStalls - prev.FullStalls) * n
-	q.stats.PriorityCycles += (q.stats.PriorityCycles - prev.PriorityCycles) * n
+// Extrapolate advances the per-cycle counters as if the machine
+// repeated its last period n more times: prev is the queue one period
+// ago, and each counter grows by n times its growth since. Used by the
+// hang fast-forward, where the repeated period's deltas are provably
+// constant.
+func (q *Queue) Extrapolate(prev *Queue, n uint64) {
+	q.occSum += (q.occSum - prev.occSum) * n
+	p := &prev.stats
+	q.stats.Enqueued += (q.stats.Enqueued - p.Enqueued) * n
+	q.stats.Reexecuted += (q.stats.Reexecuted - p.Reexecuted) * n
+	q.stats.Verified += (q.stats.Verified - p.Verified) * n
+	q.stats.Mismatches += (q.stats.Mismatches - p.Mismatches) * n
+	q.stats.Skipped += (q.stats.Skipped - p.Skipped) * n
+	q.stats.FullStalls += (q.stats.FullStalls - p.FullStalls) * n
+	q.stats.PriorityCycles += (q.stats.PriorityCycles - p.PriorityCycles) * n
 }

@@ -127,6 +127,11 @@ type Queue struct {
 	every     int // re-execute 1 in every N instructions (1 = all)
 	reso      bool
 	stats     Stats
+
+	// live counts dispatched R copies not yet compared: each holds an
+	// execution-window slot. occSum/occMax sample occupancy per cycle.
+	live           int
+	occSum, occMax uint64
 }
 
 // New builds an R-stream Queue.
@@ -135,8 +140,14 @@ type Queue struct {
 // occupancy at which R-stream instructions get issue priority; 0 selects
 // the default of size-8 (clamped to at least 1). reexecuteEvery enables
 // partial re-execution: only one in every N instructions is re-executed
-// (0 and 1 both mean every instruction).
-func New(size, highWater, reexecuteEvery int) (*Queue, error) {
+// (0 and 1 both mean every instruction). reso enables recomputation with
+// shifted operands (Patel & Fung, the paper's §3 reference [15]): the
+// R-stream execution is transformed so a permanent fault in a
+// functional unit corrupts the two executions differently, making it
+// detectable even when both land on the same unit. RESO itself is
+// timing-neutral here (the shift stages are folded into the unit's
+// latency).
+func New(size, highWater, reexecuteEvery int, reso bool) (*Queue, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("reese: rsq size %d", size)
 	}
@@ -160,19 +171,9 @@ func New(size, highWater, reexecuteEvery int) (*Queue, error) {
 		size:      uint64(size),
 		highWater: highWater,
 		every:     reexecuteEvery,
+		reso:      reso,
 	}, nil
 }
-
-// SetRESO enables recomputation with shifted operands (Patel & Fung,
-// the paper's reference [15]): the R-stream execution is transformed so
-// a permanent fault in a functional unit corrupts the two executions
-// differently, making it detectable even when both land on the same
-// unit. RESO itself is timing-neutral here (the shift stages are folded
-// into the unit's latency).
-func (q *Queue) SetRESO(on bool) { q.reso = on }
-
-// RESO reports whether shifted-operand recomputation is enabled.
-func (q *Queue) RESO() bool { return q.reso }
 
 // Len returns current occupancy.
 func (q *Queue) Len() int { return int(q.nextSeq - q.headSeq) }
@@ -239,6 +240,7 @@ func (q *Queue) NextToDispatch() *Entry {
 // MarkDispatched records that e's R copy entered the pipeline.
 func (q *Queue) MarkDispatched(e *Entry) {
 	e.Dispatched = true
+	q.live++
 	q.stats.Reexecuted++
 }
 
@@ -295,7 +297,35 @@ func (q *Queue) RetireHead() Entry {
 }
 
 // Flush empties the queue (fault recovery clears the RSQ, §4.3).
-func (q *Queue) Flush() { q.headSeq = q.nextSeq }
+func (q *Queue) Flush() { q.headSeq, q.live = q.nextSeq, 0 }
+
+// InFlight returns the number of dispatched R copies whose comparison
+// has not completed.
+func (q *Queue) InFlight() int { return q.live }
+
+// Sample records the current occupancy; the pipeline calls it once per
+// cycle.
+func (q *Queue) Sample() {
+	occ := uint64(q.Len())
+	q.occSum += occ
+	q.occMax = max(q.occMax, occ)
+}
+
+// Occupancy returns the sum and peak of the sampled occupancies.
+func (q *Queue) Occupancy() (sum, peak uint64) { return q.occSum, q.occMax }
+
+// CloneInto deep-copies the R-stream Queue into dst (allocating when dst
+// is nil), reusing dst's slot slice when its capacity allows. Entries
+// are value types, so the slice copy captures everything.
+func (q *Queue) CloneInto(dst *Queue) *Queue {
+	if dst == nil {
+		dst = &Queue{}
+	}
+	slots := dst.slots
+	*dst = *q
+	dst.slots = append(slots[:0], q.slots...)
+	return dst
+}
 
 // Stats returns a copy of the counters.
 func (q *Queue) Stats() Stats { return q.stats }
@@ -305,8 +335,11 @@ func (q *Queue) Stats() Stats { return q.stats }
 // returns true when they all match. This is the comparator between
 // writeback and commit (paper §4.3), and the recomputation uses exactly
 // the same semantic functions as the P stream, so a mismatch implies a
-// fault.
+// fault. A dispatched copy releases its window slot here.
 func (q *Queue) Compare(e *Entry) bool {
+	if e.Dispatched {
+		q.live--
+	}
 	tr := e.Trace
 	op := tr.Inst.Op
 	// rMask is how a stuck functional unit corrupted the R execution.

@@ -10,7 +10,7 @@ import (
 
 func newQ(t *testing.T, size int) *Queue {
 	t.Helper()
-	q, err := New(size, 0, 1)
+	q, err := New(size, 0, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,16 +33,16 @@ func aluEntry(seq uint64, a, b, result uint32) Entry {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 0, 1); err == nil {
+	if _, err := New(0, 0, 1, false); err == nil {
 		t.Error("size 0 should fail")
 	}
-	if _, err := New(8, 20, 1); err == nil {
+	if _, err := New(8, 20, 1, false); err == nil {
 		t.Error("high water beyond size should fail")
 	}
-	if _, err := New(8, 0, -1); err == nil {
+	if _, err := New(8, 0, -1, false); err == nil {
 		t.Error("negative reexec should fail")
 	}
-	q, err := New(8, 0, 0)
+	q, err := New(8, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestCompareHaltAndOutAlwaysVerify(t *testing.T) {
 }
 
 func TestPressureHighWater(t *testing.T) {
-	q, err := New(8, 6, 1)
+	q, err := New(8, 6, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPressureHighWater(t *testing.T) {
 }
 
 func TestDefaultHighWater(t *testing.T) {
-	q, err := New(32, 0, 1)
+	q, err := New(32, 0, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestDefaultHighWater(t *testing.T) {
 }
 
 func TestPartialReexecutionMarksSkipped(t *testing.T) {
-	q, err := New(16, 0, 2)
+	q, err := New(16, 0, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestGetByQSeq(t *testing.T) {
 // for the paper's fault model.
 func TestCompareDetectsEverySingleBitFlip(t *testing.T) {
 	f := func(a, b uint32, bit uint8) bool {
-		q, _ := New(4, 0, 1)
+		q, _ := New(4, 0, 1, false)
 		result := isa.EvalALU(isa.OpXor, a, b, 0)
 		ent := Entry{
 			Trace: emu.Trace{
@@ -319,7 +319,7 @@ func TestCompareDetectsEverySingleBitFlip(t *testing.T) {
 		if !q.Compare(e) {
 			return false
 		}
-		q2, _ := New(4, 0, 1)
+		q2, _ := New(4, 0, 1, false)
 		ent.ResultP ^= 1 << (bit % 32)
 		e2 := q2.Enqueue(ent, 0)
 		return !q2.Compare(e2)
