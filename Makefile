@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-all bench-smoke trace figures faults faults-smoke faults-mem-smoke triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
+.PHONY: all build test test-race vet bench bench-all bench-smoke bench-module-test trace figures faults faults-smoke faults-mem-smoke triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
 
 all: build test
 
@@ -35,6 +35,12 @@ bench-all:
 # allocs/op grew versus the newest entry in BENCH_pipeline.json.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkCampaignThroughput' -benchmem . | $(GO) run ./cmd/benchjson -check -out BENCH_pipeline.json
+
+# Tests of the end-to-end benchmark command (its own module, so the
+# root `go test ./...` does not build it): statistics, -compare verdicts,
+# spec validation, and a smoke run of all five workloads at 1% scale.
+bench-module-test:
+	$(GO) -C cmd/reese-bench test .
 
 # Observability demo: run a REESE simulation with the flight recorder
 # armed, print the stall attribution report, and dump a Perfetto trace.

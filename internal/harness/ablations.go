@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"reese/internal/config"
 	"reese/internal/fault"
@@ -59,18 +60,16 @@ func HighWaterSweep(marks []int, opt Options) (string, map[int]float64, error) {
 	}
 	for _, hw := range marks {
 		cfg := config.Starting().WithReese().WithRSQHighWater(hw)
-		avg, err := averageIPC(cfg, opt)
+		res, err := workloadResults(cfg, opt)
 		if err != nil {
 			return "", nil, err
 		}
+		avg := meanIPC(res)
 		out[hw] = avg
-		res, err := runOne(cfg, "gcc", opt)
-		if err != nil {
-			return "", nil, err
-		}
+		gcc := res[slices.Index(workload.Names(), "gcc")]
 		t.AddRow(fmt.Sprint(hw), fmt.Sprintf("%.3f", avg),
 			fmt.Sprintf("%.1f", stats.PercentDelta(baseAvg, avg)),
-			fmt.Sprint(res.Reese.PriorityCycles))
+			fmt.Sprint(gcc.Reese.PriorityCycles))
 	}
 	return t.String(), out, nil
 }

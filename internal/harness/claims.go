@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"reese/internal/config"
@@ -24,10 +25,12 @@ func CheckClaims(opt Options) ([]Claim, error) {
 	opt = opt.normalize()
 	var claims []Claim
 
-	fig2, err := Figure2(opt)
+	// One pass over every grid the figure claims read.
+	figs, err := runGrids(slices.Concat([]grid{figure2Grid, figure4Grid, figure5Grid}, figure7Grids), opt)
 	if err != nil {
 		return nil, err
 	}
+	fig2, fig4, fig5 := figs[0], figs[1], figs[2]
 	gap := fig2.GapPercent("Baseline", "REESE")
 	claims = append(claims, Claim{
 		ID:        "gap-band",
@@ -56,14 +59,6 @@ func CheckClaims(opt Options) ([]Claim, error) {
 		Pass:      multGain < 5 && ijpegGain > 0,
 	})
 
-	fig4, err := Figure4(opt)
-	if err != nil {
-		return nil, err
-	}
-	fig5, err := Figure5(opt)
-	if err != nil {
-		return nil, err
-	}
 	g4 := fig4.GapPercent("Baseline", "REESE")
 	g5 := fig5.GapPercent("Baseline", "REESE")
 	claims = append(claims, Claim{
@@ -74,12 +69,8 @@ func CheckClaims(opt Options) ([]Claim, error) {
 		Pass:      g5 < g4,
 	})
 
-	points, err := Figure7(opt)
-	if err != nil {
-		return nil, err
-	}
 	byLabel := map[string]Figure7Point{}
-	for _, p := range points {
+	for _, p := range figure7Points(figs[3:]) {
 		byLabel[p.Label] = p
 	}
 	p256 := byLabel["RUU=256"]

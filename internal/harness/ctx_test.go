@@ -7,13 +7,16 @@ import (
 	"time"
 )
 
-// TestFigureCancellation: a cancelled Options.Ctx aborts a grid instead
-// of simulating all its cells.
+// TestFigureCancellation: a cancelled Options.Ctx aborts a grid, or a
+// whole sweep, instead of simulating all its cells.
 func TestFigureCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Figure2(Options{Insts: 50_000, Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Figure2 with cancelled ctx: %v, want context.Canceled", err)
+	}
+	if _, err := AllFigures(Options{Insts: 50_000, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AllFigures with cancelled ctx: %v, want context.Canceled", err)
 	}
 
 	start := time.Now()

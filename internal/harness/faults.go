@@ -1162,24 +1162,35 @@ func SpareSearch(base config.Machine, maxSpares int, tolerance float64, opt Opti
 // pool) and returns the mean IPC; summation is in workload order, so
 // the value is independent of parallelism.
 func averageIPC(cfg config.Machine, opt Options) (float64, error) {
-	names := workload.Names()
-	ipcs := make([]float64, len(names))
-	err := forEach(len(names), opt.Parallel, func(i int) error {
-		res, err := runOne(cfg, names[i], opt)
-		if err != nil {
-			return err
-		}
-		ipcs[i] = res.IPC
-		return nil
-	})
+	res, err := workloadResults(cfg, opt)
 	if err != nil {
 		return 0, err
 	}
+	return meanIPC(res), nil
+}
+
+func meanIPC(res []pipeline.Result) float64 {
 	var sum float64
-	for _, v := range ipcs {
-		sum += v
+	for _, r := range res {
+		sum += r.IPC
 	}
-	return sum / float64(len(names)), nil
+	return sum / float64(len(res))
+}
+
+// workloadResults simulates cfg on every Table 2 workload, in parallel,
+// and returns the results in workload.Names() order.
+func workloadResults(cfg config.Machine, opt Options) ([]pipeline.Result, error) {
+	names := workload.Names()
+	res := make([]pipeline.Result, len(names))
+	err := forEach(len(names), opt.Parallel, func(i int) error {
+		var err error
+		res[i], err = runOne(cfg, names[i], opt)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // RSQSweep is the DESIGN.md §7 ablation: REESE average IPC as a function

@@ -11,6 +11,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -191,35 +192,92 @@ func spareSet(base config.Machine) []variant {
 	}
 }
 
-// runGrid simulates every (workload, variant) pair, in parallel across
-// cells, and assembles a FigureResult.
-func runGrid(id, title string, variants []variant, opt Options) (*FigureResult, error) {
+// grid is one figure's cell set: every Table 2 workload on every
+// variant. No two grids below share a cell, so a sweep simulates each
+// cell once by running each grid once.
+type grid struct {
+	id, title string
+	variants  []variant
+}
+
+// The grids of Figures 2-5, in Figure 6's row order.
+var (
+	figure2Grid = grid{"Figure 2", "initial comparison, Table 1 starting configuration",
+		spareSet(config.Starting())}
+	figure3Grid = grid{"Figure 3", "RUU size = 32 and LSQ size = 16",
+		spareSet(config.Starting().WithRUU(32))}
+	// The 16-wide datapath sits on top of the doubled RUU/LSQ, as in the
+	// paper's sequence.
+	figure4Grid = grid{"Figure 4", "16-wide datapath (RUU 32, LSQ 16)",
+		spareSet(config.Starting().WithRUU(32).WithWidth(16))}
+	// As in the paper, the 2ALU+1Mult bar is dropped — the extra
+	// multiplier makes no difference at this point.
+	figure5Grid = grid{"Figure 5", "additional memory ports (4)",
+		spareSet(config.Starting().WithRUU(32).WithWidth(16).WithMemPorts(4))[:4]}
+
+	summaryGrids   = []grid{figure2Grid, figure3Grid, figure4Grid, figure5Grid}
+	summaryConfigs = []string{"None", "RUU,LSQ 2X", "Ex. Q 2X", "MemPorts"}
+)
+
+// figure7Set returns Figure 7's series on one machine: baseline, REESE,
+// and REESE with 2 spare ALUs. The R-stream Queue grows to 64 on these
+// machines, per the paper's §4.3 note that the buffer must be set to an
+// appropriate length for the machine (32 entries throttle a
+// 256-entry-RUU REESE by themselves).
+func figure7Set(base config.Machine) []variant {
+	return []variant{
+		{"Baseline", base},
+		{"REESE", base.WithReese().WithRSQ(64)},
+		{"R+2ALU", base.WithReese().WithRSQ(64).WithSpares(2, 0)},
+	}
+}
+
+// figure7Grids are Figure 7's four x-positions, each titled with its
+// point's label: RUU = 64 and 256, each with and without a doubled
+// functional-unit complement.
+var (
+	doubledFUs   = fu.Config{IntALU: 8, IntMult: 2, MemPort: 4, FPALU: 8, FPMult: 2}
+	figure7Grids = []grid{
+		{"Figure 7", "RUU=64", figure7Set(config.Starting().WithRUU(64))},
+		{"Figure 7", "RUU=64+FUs", figure7Set(config.Starting().WithRUU(64).WithFUs(doubledFUs))},
+		{"Figure 7", "RUU=256", figure7Set(config.Starting().WithRUU(256))},
+		{"Figure 7", "RUU=256+FUs", figure7Set(config.Starting().WithRUU(256).WithFUs(doubledFUs))},
+	}
+)
+
+// runGrids simulates every cell of every grid in one pass over the
+// worker pool and assembles one FigureResult per grid. A caller wanting
+// several figures asks for them together, so no worker idles at a
+// barrier between figures.
+func runGrids(grids []grid, opt Options) ([]*FigureResult, error) {
 	opt = opt.normalize()
 	names := workload.Names()
-	fig := &FigureResult{
-		ID:        id,
-		Title:     title,
-		Workloads: names,
-		IPC:       make(map[string]map[string]float64, len(names)),
-	}
-	for _, v := range variants {
-		fig.Variants = append(fig.Variants, v.label)
-	}
-	for _, w := range names {
-		fig.IPC[w] = make(map[string]float64, len(variants))
-	}
-
 	type job struct {
-		w string
-		v variant
+		fig int
+		w   string
+		v   variant
 	}
 	var jobs []job
-	for _, w := range names {
-		for _, v := range variants {
-			jobs = append(jobs, job{w, v})
+	figs := make([]*FigureResult, len(grids))
+	for gi, g := range grids {
+		fig := &FigureResult{
+			ID:        g.id,
+			Title:     g.title,
+			Workloads: names,
+			IPC:       make(map[string]map[string]float64, len(names)),
 		}
+		for _, v := range g.variants {
+			fig.Variants = append(fig.Variants, v.label)
+		}
+		for _, w := range names {
+			fig.IPC[w] = make(map[string]float64, len(g.variants))
+			for _, v := range g.variants {
+				jobs = append(jobs, job{gi, w, v})
+			}
+		}
+		figs[gi] = fig
 	}
-	// Workers write into per-job slots; the figure is assembled in job
+	// Workers write into per-job slots; the figures are assembled in job
 	// order afterwards so the result is independent of scheduling.
 	results := make([]pipeline.Result, len(jobs))
 	err := forEach(len(jobs), opt.Parallel, func(i int) error {
@@ -234,16 +292,28 @@ func runGrid(id, title string, variants []variant, opt Options) (*FigureResult, 
 		return nil, err
 	}
 	for i, j := range jobs {
+		fig := figs[j.fig]
 		fig.IPC[j.w][j.v.label] = results[i].IPC
 		fig.Cells = append(fig.Cells, Cell{Workload: j.w, Variant: j.v.label, Result: results[i]})
 	}
-	sort.Slice(fig.Cells, func(i, k int) bool {
-		if fig.Cells[i].Workload != fig.Cells[k].Workload {
-			return fig.Cells[i].Workload < fig.Cells[k].Workload
-		}
-		return fig.Cells[i].Variant < fig.Cells[k].Variant
-	})
-	return fig, nil
+	for _, fig := range figs {
+		sort.Slice(fig.Cells, func(i, k int) bool {
+			if fig.Cells[i].Workload != fig.Cells[k].Workload {
+				return fig.Cells[i].Workload < fig.Cells[k].Workload
+			}
+			return fig.Cells[i].Variant < fig.Cells[k].Variant
+		})
+	}
+	return figs, nil
+}
+
+// runGrid is runGrids for a single figure.
+func runGrid(g grid, opt Options) (*FigureResult, error) {
+	figs, err := runGrids([]grid{g}, opt)
+	if err != nil {
+		return nil, err
+	}
+	return figs[0], nil
 }
 
 func runOne(cfg config.Machine, workloadName string, opt Options) (pipeline.Result, error) {
@@ -283,37 +353,17 @@ func runOne(cfg config.Machine, workloadName string, opt Options) (pipeline.Resu
 
 // Figure2 regenerates the paper's Figure 2: REESE versus baseline on the
 // Table 1 starting configuration, with the spare-element bar groups.
-func Figure2(opt Options) (*FigureResult, error) {
-	return runGrid("Figure 2", "initial comparison, Table 1 starting configuration",
-		spareSet(config.Starting()), opt)
-}
+func Figure2(opt Options) (*FigureResult, error) { return runGrid(figure2Grid, opt) }
 
 // Figure3 regenerates Figure 3: RUU doubled to 32, LSQ to 16.
-func Figure3(opt Options) (*FigureResult, error) {
-	return runGrid("Figure 3", "RUU size = 32 and LSQ size = 16",
-		spareSet(config.Starting().WithRUU(32)), opt)
-}
+func Figure3(opt Options) (*FigureResult, error) { return runGrid(figure3Grid, opt) }
 
-// Figure4 regenerates Figure 4: the 16-wide datapath (on top of the
-// doubled RUU/LSQ, as in the paper's sequence).
-func Figure4(opt Options) (*FigureResult, error) {
-	return runGrid("Figure 4", "16-wide datapath (RUU 32, LSQ 16)",
-		spareSet(config.Starting().WithRUU(32).WithWidth(16)), opt)
-}
+// Figure4 regenerates Figure 4: the 16-wide datapath.
+func Figure4(opt Options) (*FigureResult, error) { return runGrid(figure4Grid, opt) }
 
 // Figure5 regenerates Figure 5: additional memory ports (4 instead of
-// 2). As in the paper, the 2ALU+1Mult bar is dropped — the extra
-// multiplier makes no difference at this point.
-func Figure5(opt Options) (*FigureResult, error) {
-	base := config.Starting().WithRUU(32).WithWidth(16).WithMemPorts(4)
-	variants := []variant{
-		{"Baseline", base},
-		{"REESE", base.WithReese()},
-		{"R+1ALU", base.WithReese().WithSpares(1, 0)},
-		{"R+2ALU", base.WithReese().WithSpares(2, 0)},
-	}
-	return runGrid("Figure 5", "additional memory ports (4)", variants, opt)
-}
+// 2), without the 2ALU+1Mult bar.
+func Figure5(opt Options) (*FigureResult, error) { return runGrid(figure5Grid, opt) }
 
 // SummaryRow is one point of Figure 6: the average REESE-vs-baseline
 // picture for one hardware configuration.
@@ -334,23 +384,20 @@ type SummaryRow struct {
 // Figure6 regenerates Figure 6, the summary over the four hardware
 // configurations of Figures 2-5.
 func Figure6(opt Options) ([]SummaryRow, error) {
-	figs := []struct {
-		name string
-		f    func(Options) (*FigureResult, error)
-	}{
-		{"None", Figure2},
-		{"RUU,LSQ 2X", Figure3},
-		{"Ex. Q 2X", Figure4},
-		{"MemPorts", Figure5},
+	figs, err := runGrids(summaryGrids, opt)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]SummaryRow, 0, len(figs))
-	for _, fg := range figs {
-		fig, err := fg.f(opt)
-		if err != nil {
-			return nil, err
-		}
-		row := SummaryRow{
-			Config:           fg.name,
+	return summaryRows(figs), nil
+}
+
+// summaryRows derives Figure 6 from the results of Figures 2-5, given in
+// summaryGrids order.
+func summaryRows(figs []*FigureResult) []SummaryRow {
+	rows := make([]SummaryRow, len(figs))
+	for i, fig := range figs {
+		rows[i] = SummaryRow{
+			Config:           summaryConfigs[i],
 			BaselineIPC:      fig.Average("Baseline"),
 			ReeseIPC:         fig.Average("REESE"),
 			Spared2IPC:       fig.Average("R+2ALU"),
@@ -359,9 +406,8 @@ func Figure6(opt Options) ([]SummaryRow, error) {
 			BaselineStallPct: fig.Stalls("Baseline").Commit.CausePcts(),
 			ReeseStallPct:    fig.Stalls("REESE").Commit.CausePcts(),
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // Figure6Table renders the summary rows.
@@ -386,42 +432,29 @@ type Figure7Point struct {
 
 // Figure7 regenerates Figure 7: baseline vs REESE vs REESE+2ALU for
 // RUU = 64 and 256, each with and without a doubled functional-unit
-// complement. The R-stream Queue grows to 64 on these machines, per the
-// paper's §4.3 note that the buffer must be set to an appropriate
-// length for the machine (32 entries throttle a 256-entry-RUU REESE by
-// themselves).
+// complement (figure7Grids).
 func Figure7(opt Options) ([]Figure7Point, error) {
-	doubled := fu.Config{IntALU: 8, IntMult: 2, MemPort: 4, FPALU: 8, FPMult: 2}
-	points := []struct {
-		label string
-		cfg   config.Machine
-	}{
-		{"RUU=64", config.Starting().WithRUU(64)},
-		{"RUU=64+FUs", config.Starting().WithRUU(64).WithFUs(doubled)},
-		{"RUU=256", config.Starting().WithRUU(256)},
-		{"RUU=256+FUs", config.Starting().WithRUU(256).WithFUs(doubled)},
+	figs, err := runGrids(figure7Grids, opt)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Figure7Point, 0, len(points))
-	for _, p := range points {
-		variants := []variant{
-			{"Baseline", p.cfg},
-			{"REESE", p.cfg.WithReese().WithRSQ(64)},
-			{"R+2ALU", p.cfg.WithReese().WithRSQ(64).WithSpares(2, 0)},
-		}
-		fig, err := runGrid("Figure 7", p.label, variants, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Figure7Point{
-			Label:       p.label,
+	return figure7Points(figs), nil
+}
+
+// figure7Points derives Figure 7 from the results of figure7Grids.
+func figure7Points(figs []*FigureResult) []Figure7Point {
+	out := make([]Figure7Point, len(figs))
+	for i, fig := range figs {
+		out[i] = Figure7Point{
+			Label:       fig.Title,
 			BaselineIPC: fig.Average("Baseline"),
 			ReeseIPC:    fig.Average("REESE"),
 			Reese2AIPC:  fig.Average("R+2ALU"),
 			GapPercent:  fig.GapPercent("Baseline", "REESE"),
 			Gap2APct:    fig.GapPercent("Baseline", "R+2ALU"),
-		})
+		}
 	}
-	return out, nil
+	return out
 }
 
 // Figure7Table renders the Figure 7 series.
@@ -476,31 +509,26 @@ func Table2() string {
 	return t.String()
 }
 
-// AllFigures runs every figure and returns the rendered report.
+// AllFigures runs every figure and returns the rendered report. Its 186
+// cells run in one pass; Figure 6 is derived from the Figure 2-5 results
+// rather than simulated again.
 func AllFigures(opt Options) (string, error) {
+	figs, err := runGrids(slices.Concat(summaryGrids, figure7Grids), opt)
+	if err != nil {
+		return "", err
+	}
+	summary, fig7 := figs[:len(summaryGrids)], figs[len(summaryGrids):]
 	var b strings.Builder
 	b.WriteString(Table1())
 	b.WriteByte('\n')
 	b.WriteString(Table2())
 	b.WriteByte('\n')
-	for _, f := range []func(Options) (*FigureResult, error){Figure2, Figure3, Figure4, Figure5} {
-		fig, err := f(opt)
-		if err != nil {
-			return "", err
-		}
+	for _, fig := range summary {
 		b.WriteString(fig.Table())
 		b.WriteByte('\n')
 	}
-	rows, err := Figure6(opt)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(Figure6Table(rows))
+	b.WriteString(Figure6Table(summaryRows(summary)))
 	b.WriteByte('\n')
-	points, err := Figure7(opt)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(Figure7Table(points))
+	b.WriteString(Figure7Table(figure7Points(fig7)))
 	return b.String(), nil
 }
