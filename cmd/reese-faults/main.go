@@ -53,7 +53,7 @@ func run() int {
 		ecc          = flag.Bool("ecc", false, "enable SECDED ECC on the L2 cache for the campaign machines")
 		grid         = flag.Bool("grid", false, "sweep all 32 bit positions at one injection point")
 		gridAt       = flag.Uint64("grid-at", 5_000, "injection point (instruction #) for -grid")
-		workersStr   = flag.String("workers", "", "comma-separated reese-serve replica URLs; shards the campaign across them (requires -workload)")
+		workersStr   = flag.String("workers", "", "comma-separated reese-serve replica URLs; shards each campaign across them")
 		shardSize    = flag.Int("shard-size", 0, "trials per shard with -workers (0 = auto)")
 		triage       = flag.Bool("triage", false, "re-run every SDC/hang trial from its checkpoint with the flight recorder and first-divergence attribution armed (requires -workload)")
 		triageDet    = flag.Bool("triage-detected", false, "with -triage, also triage detected outcomes")
@@ -85,33 +85,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "reese-faults: -triage requires -workload (triage artifacts attach to one campaign's trial log)")
 		return 2
 	}
-	if *workersStr != "" {
-		return runDistributed(splitWorkers(*workersStr), cluster.Campaign{
-			Workload:           *workloadName,
-			Injections:         *injections,
-			Seed:               *seed,
-			TargetInsts:        *targetInsts,
-			CheckpointInterval: *ckInterval,
-			ShardSize:          *shardSize,
-			Triage:             *triage,
-			TriageDetected:     *triageDet,
-		}, structs, *jsonOut, *triageDir)
-	}
-
-	if *workloadName == "" {
-		// No single workload selected: run the full REESE-vs-baseline
-		// comparison across all six.
-		tbl, reports, err := harness.CampaignAll(*injections, *seed, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reese-faults:", err)
-			return 1
-		}
-		if *jsonOut {
-			return emitJSON(reports)
-		}
-		fmt.Println(tbl)
-		return 0
-	}
 
 	// Trials stream to the sink as they complete rather than being
 	// buffered until every campaign finishes: a killed or wedged run
@@ -130,85 +103,132 @@ func run() int {
 		}
 		sink = json.NewEncoder(w)
 	}
-
-	var reports []harness.CampaignReport
-	for _, cfg := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
-		if *ecc {
-			cfg.Memory.L2.ECC = true
+	// emit hands one finished trial to the front end's consumers. Its
+	// trace is persisted (and trace_path stamped) before the record is
+	// encoded, so the JSONL line already points at its artifact.
+	emit := func(machine string, t *harness.Trial) error {
+		if t.Triage != nil && *triageDir != "" && len(t.Triage.Trace) > 0 {
+			path, err := writeTrace(*triageDir, machine, t.Index, t.Triage.Trace)
+			if err != nil {
+				return err
+			}
+			t.Triage.TracePath = path
 		}
-		spec := harness.CampaignSpec{
-			Workload:           *workloadName,
-			Machine:            cfg,
-			Injections:         *injections,
-			Seed:               *seed,
-			TargetInsts:        *targetInsts,
-			CheckpointInterval: *ckInterval,
-			Triage:             *triage,
-			TriageDetected:     *triageDet,
-			Structures:         harness.HostableStructures(structs, cfg),
-		}
-		if sink != nil || *triage || *triageDet {
-			// Traces are persisted (and trace_path stamped) inside the
-			// sink, before the record is encoded, so the JSONL line
-			// already points at its artifact.
-			enc, dir, machine := sink, *triageDir, cfg.Name
-			spec.TrialSink = func(t harness.Trial) error {
-				if t.Triage != nil && dir != "" {
-					path, err := writeTrace(dir, machine, t.Index, t.Triage.Trace)
-					if err != nil {
-						return err
-					}
-					t.Triage.TracePath = path
-				}
-				if enc != nil {
-					if err := enc.Encode(&t); err != nil {
-						return err
-					}
-				}
-				if t.Triage != nil {
-					// Every consumer of the blob in this front end has
-					// run (trace file written, JSONL line emitted); drop
-					// it so hundreds of escapes' traces don't sit on the
-					// heap for the rest of the run. The attribution
-					// fields stay on the record for the summary table.
-					t.Triage.Trace = nil
-				}
-				return nil
+		if sink != nil {
+			if err := sink.Encode(t); err != nil {
+				return err
 			}
 		}
-		r, err := harness.Campaign(spec, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reese-faults:", err)
-			return 1
+		if t.Triage != nil {
+			// Every consumer of the blob in this front end has run; drop
+			// it so hundreds of escapes' traces don't sit on the heap for
+			// the rest of the run. The attribution fields stay on the
+			// record for the summary table.
+			t.Triage.Trace = nil
+		}
+		return nil
+	}
+
+	// One campaign of the comparison runs either here or sharded across
+	// the -workers replicas by the cluster coordinator, which merges the
+	// shards into the byte-identical single-process report.
+	workers := splitWorkers(*workersStr)
+	clusterCfg := cluster.Config{Workers: workers, OnEvent: func(ev cluster.Event) {
+		if ev.Type == "completed" || ev.Type == "reassigned" {
+			fmt.Fprintf(os.Stderr, "reese-faults: shard %d %s on %s (%d/%d shards, %d/%d trials, %.1fs)\n",
+				ev.Shard, ev.Type, ev.Worker, ev.CompletedShards, ev.TotalShards,
+				ev.CompletedTrials, ev.TotalTrials, ev.ElapsedS)
+		}
+	}}
+	run := func(spec harness.CampaignSpec) (rep *harness.CampaignReport, err error) {
+		machine := spec.Machine.Name
+		if len(workers) == 0 {
+			if sink != nil || spec.Triage {
+				spec.TrialSink = func(t harness.Trial) error { return emit(machine, &t) }
+			}
+			if rep, err = harness.Campaign(spec, opt); err != nil {
+				return nil, err
+			}
+		} else {
+			c := cluster.Campaign{
+				Workload:           spec.Workload,
+				Machine:            &spec.Machine,
+				Injections:         spec.Injections,
+				Seed:               spec.Seed,
+				TargetInsts:        spec.TargetInsts,
+				CheckpointInterval: spec.CheckpointInterval,
+				ShardSize:          *shardSize,
+				Triage:             spec.Triage,
+				TriageDetected:     spec.TriageDetected,
+			}
+			for _, st := range spec.Structures {
+				c.Structures = append(c.Structures, st.String())
+			}
+			if rep, err = cluster.Run(context.Background(), clusterCfg, c); err != nil {
+				return nil, err
+			}
+			for i := range rep.Trials {
+				if err := emit(machine, &rep.Trials[i]); err != nil {
+					return nil, err
+				}
+			}
 		}
 		// A triage trace that wrapped its ring evicted early events;
 		// say so instead of letting a partial record pass as complete.
-		for ti := range r.Trials {
-			if tg := r.Trials[ti].Triage; tg != nil && tg.TraceDropped > 0 {
+		for _, t := range rep.Trials {
+			if t.Triage != nil && t.Triage.TraceDropped > 0 {
 				fmt.Fprintf(os.Stderr, "reese-faults: warning: trial %d triage trace wrapped (%d events evicted); the trace is a partial record\n",
-					r.Trials[ti].Index, tg.TraceDropped)
+					t.Index, t.Triage.TraceDropped)
 			}
 		}
-		reports = append(reports, *r)
+		return rep, nil
+	}
+
+	base := harness.CampaignSpec{
+		Workload:           *workloadName,
+		Machine:            config.Starting(),
+		Structures:         structs,
+		Injections:         *injections,
+		Seed:               *seed,
+		TargetInsts:        *targetInsts,
+		CheckpointInterval: *ckInterval,
+		Triage:             *triage,
+		TriageDetected:     *triageDet,
+	}
+	base.Machine.Memory.L2.ECC = *ecc
+	tbl, reports, err := harness.CampaignAll(base, run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reese-faults:", err)
+		return 1
 	}
 	if *jsonOut {
 		return emitJSON(reports)
 	}
+	if *workloadName == "" {
+		fmt.Println(tbl)
+		return 0
+	}
 	for i := range reports {
-		fmt.Println(reports[i].Table())
-		if reports[i].Localized > 0 {
-			fmt.Println(reports[i].LevelsTable())
+		r := &reports[i]
+		fmt.Println(r.Table())
+		if len(workers) > 0 {
+			fmt.Printf("throughput: %d injections in %.2fs wall across %d workers (%.0f injections/s)\n\n",
+				r.Injected, r.WallSeconds, len(workers), r.InjectionsPerSec)
+			continue
 		}
-		if reports[i].Detected+reports[i].Recovered > 0 {
+		if r.Localized > 0 {
+			fmt.Println(r.LevelsTable())
+		}
+		if r.Detected+r.Recovered > 0 {
 			fmt.Printf("detection latency: mean %.1f, p95 %d, max %d cycles\n",
-				reports[i].DetectionLatencyMean, reports[i].DetectionLatencyP95, reports[i].DetectionLatencyMax)
+				r.DetectionLatencyMean, r.DetectionLatencyP95, r.DetectionLatencyMax)
 		}
-		if reports[i].Triaged > 0 {
+		if r.Triaged > 0 {
 			fmt.Printf("triage: %d escapes replayed with attribution, %d with a first divergent commit\n",
-				reports[i].Triaged, reports[i].Diverged)
+				r.Triaged, r.Diverged)
 		}
 		fmt.Printf("throughput: %d injections in %.2fs wall (%.0f injections/s)\n\n",
-			reports[i].Injected, reports[i].WallSeconds, reports[i].InjectionsPerSec)
+			r.Injected, r.WallSeconds, r.InjectionsPerSec)
 	}
 	return 0
 }
@@ -222,63 +242,6 @@ func splitWorkers(s string) []string {
 		}
 	}
 	return out
-}
-
-// runDistributed shards the campaign across reese-serve replicas via
-// the cluster coordinator and prints the merged reports — the same
-// REESE-vs-baseline pair the local path produces, byte-identical to a
-// single-process run with the same seed. base carries everything but
-// the machine and the structures hostable on it.
-func runDistributed(workers []string, base cluster.Campaign, structs []fault.Struct, jsonOut bool, triageDir string) int {
-	if base.Workload == "" {
-		fmt.Fprintln(os.Stderr, "reese-faults: -workers requires -workload (pick one benchmark to shard)")
-		return 2
-	}
-	cfg := cluster.Config{Workers: workers}
-	cfg.OnEvent = func(ev cluster.Event) {
-		if ev.Type == "completed" || ev.Type == "reassigned" {
-			fmt.Fprintf(os.Stderr, "reese-faults: shard %d %s on %s (%d/%d shards, %d/%d trials, %.1fs)\n",
-				ev.Shard, ev.Type, ev.Worker, ev.CompletedShards, ev.TotalShards,
-				ev.CompletedTrials, ev.TotalTrials, ev.ElapsedS)
-		}
-	}
-	var reports []harness.CampaignReport
-	for _, m := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
-		machine, campaign := m, base
-		campaign.Machine = &machine
-		for _, st := range harness.HostableStructures(structs, machine) {
-			campaign.Structures = append(campaign.Structures, st.String())
-		}
-		rep, err := cluster.Run(context.Background(), cfg, campaign)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reese-faults:", err)
-			return 1
-		}
-		for ti := range rep.Trials {
-			tg := rep.Trials[ti].Triage
-			if tg == nil {
-				continue
-			}
-			if triageDir != "" && len(tg.Trace) > 0 {
-				path, werr := writeTrace(triageDir, machine.Name, rep.Trials[ti].Index, tg.Trace)
-				if werr != nil {
-					fmt.Fprintln(os.Stderr, "reese-faults:", werr)
-					return 1
-				}
-				tg.TracePath = path
-			}
-		}
-		reports = append(reports, *rep)
-	}
-	if jsonOut {
-		return emitJSON(reports)
-	}
-	for i := range reports {
-		fmt.Println(reports[i].Table())
-		fmt.Printf("throughput: %d injections in %.2fs wall across %d workers (%.0f injections/s)\n\n",
-			reports[i].Injected, reports[i].WallSeconds, len(workers), reports[i].InjectionsPerSec)
-	}
-	return 0
 }
 
 // writeTrace persists one triaged trial's Perfetto trace under dir,

@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"reese/internal/config"
 	"reese/internal/harness"
 )
 
@@ -142,7 +143,10 @@ func run() int {
 		}
 		return emit(harness.Figure7Table(points), nil)
 	case "faults":
-		tbl, reports, err := harness.CampaignAll(200, 1, opt)
+		base := harness.CampaignSpec{Machine: config.Starting(), Injections: 200, Seed: 1}
+		tbl, reports, err := harness.CampaignAll(base, func(s harness.CampaignSpec) (*harness.CampaignReport, error) {
+			return harness.Campaign(s, opt)
+		})
 		if *asJSON {
 			return emitJSON(reports, err)
 		}

@@ -191,9 +191,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxShardCount mirrors the worker-side per-shard trial cap.
-const maxShardCount = 5_000
-
 // shardSpecs splits the campaign into contiguous [offset, count] windows
 // and builds their ShardSpecs.
 func shardSpecs(req Campaign, workers, defaultSize int) []server.ShardSpec {
@@ -209,8 +206,8 @@ func shardSpecs(req Campaign, workers, defaultSize int) []server.ShardSpec {
 	if size < 1 {
 		size = 1
 	}
-	if size > maxShardCount {
-		size = maxShardCount
+	if size > server.MaxFaultInjections {
+		size = server.MaxFaultInjections
 	}
 	var windows [][2]int
 	for off := 0; off < req.Injections; off += size {
@@ -228,8 +225,8 @@ func Run(ctx context.Context, cfg Config, req Campaign) (*harness.CampaignReport
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("cluster: no workers configured")
 	}
-	if req.Injections <= 0 {
-		return nil, fmt.Errorf("cluster: injections %d out of range", req.Injections)
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
 	specs := shardSpecs(req, len(cfg.Workers), cfg.ShardSize)
 
@@ -373,6 +370,18 @@ func Run(ctx context.Context, cfg Config, req Campaign) (*harness.CampaignReport
 	// The report exists; the journal has done its job.
 	wal.finish()
 	return merged, nil
+}
+
+// validate checks the campaign with the workers' own request
+// validator, so a campaign no worker would accept fails before it is
+// journaled or assigned. It checks a copy: the campaign token and the
+// journaled spec derive from the request exactly as the client sent it.
+func (req Campaign) validate() error {
+	first := specsFromWindows(req, [][2]int{{0, min(req.Injections, server.MaxFaultInjections)}})[0]
+	if err := first.Validate(server.DefaultLimits()); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return nil
 }
 
 // specsFromWindows rebuilds shard specs from journaled [offset, count]

@@ -44,6 +44,10 @@ func Handler(cfg Config) http.Handler {
 			http.Error(w, fmt.Sprintf(`{"error":%q}`, "decode request: "+err.Error()), http.StatusBadRequest)
 			return
 		}
+		if err := req.validate(); err != nil {
+			http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+			return
+		}
 
 		sse := r.URL.Query().Get("stream") == "sse"
 		if sse {

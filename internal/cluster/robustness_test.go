@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -346,4 +347,51 @@ func TestClusterHandlerClientDisconnect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A campaign no worker would accept fails before it costs anything: Run
+// returns the validation error without writing a WAL file or submitting
+// a batch, and the coordinator endpoint answers 400. Journaling it
+// instead would burn MaxAttempts per shard on the workers' 400s and
+// leave a WAL that every -resume start retries.
+func TestClusterRejectsInvalidCampaignBeforeJournaling(t *testing.T) {
+	var submits sync.Map
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.Write([]byte(`{"ready":true}`))
+			return
+		}
+		submits.Store(r.URL.Path, true)
+		http.Error(w, `{"error":"invalid shard"}`, http.StatusBadRequest)
+	}))
+	defer worker.Close()
+	cfg := testClusterConfig([]string{worker.URL})
+	cfg.WALDir = t.TempDir()
+	for _, c := range []Campaign{
+		{Workload: "nope", Injections: 40},
+		{Workload: "li", Structures: []string{"bogus"}, Injections: 40},
+		{Workload: "li", Injections: 0},
+	} {
+		// A campaign that slipped past validation would retry the
+		// worker's 400s until cancelled; bound it.
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		if _, err := Run(ctx, cfg, c); err == nil {
+			t.Errorf("Run(%+v) succeeded, want a validation error", c)
+		}
+		body, _ := json.Marshal(c)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/cluster/faults", bytes.NewReader(body)).WithContext(ctx)
+		Handler(cfg).ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("Handler(%+v) answered %d, want 400: %s", c, rec.Code, rec.Body)
+		}
+	}
+	if files, _ := os.ReadDir(cfg.WALDir); len(files) > 0 {
+		t.Errorf("invalid campaigns left %d files in the WAL dir, want none (first: %s)", len(files), files[0].Name())
+	}
+	submits.Range(func(path, _ any) bool {
+		t.Errorf("invalid campaign reached the worker at %s", path)
+		return true
+	})
 }

@@ -130,12 +130,12 @@ func (s CampaignSpec) withDefaults() (_ CampaignSpec, defaulted bool) {
 	return s, defaulted
 }
 
-// HostableStructures filters a requested structure list down to those
+// hostableStructures filters a requested structure list down to those
 // machine m can host (the RSQ structures need an R-stream Queue), so one
 // list serves both halves of a REESE-vs-baseline comparison. When none
 // survive it falls back to the result structure, keeping the campaign
 // non-empty; an empty request stays empty (the campaign default).
-func HostableStructures(structs []fault.Struct, m config.Machine) []fault.Struct {
+func hostableStructures(structs []fault.Struct, m config.Machine) []fault.Struct {
 	var out []fault.Struct
 	for _, st := range structs {
 		if !st.NeedsRSQ() || m.HasRSQ() {
@@ -1093,36 +1093,45 @@ func MergeReports(shards []*CampaignReport) (*CampaignReport, error) {
 	return rep, nil
 }
 
-// CampaignAll runs the campaign on every workload for both the REESE
-// machine and the baseline, and renders the comparison. Campaigns run
-// one after another; each parallelizes its own trials on the shared
-// pool.
-func CampaignAll(injections int, seed uint64, opt Options) (string, []CampaignReport, error) {
-	machines := []config.Machine{config.Starting().WithReese(), config.Starting()}
-	var all []CampaignReport
-	for _, name := range workload.Names() {
-		for _, cfg := range machines {
-			r, err := Campaign(CampaignSpec{Workload: name, Machine: cfg, Injections: injections, Seed: seed}, opt)
-			if err != nil {
-				return "", nil, err
-			}
-			all = append(all, *r)
-		}
+// CampaignAll runs the paper's REESE-vs-baseline comparison that base
+// describes and renders it as one table. It is the one meaning of a
+// multi-campaign request, shared by the CLIs and the service: for each
+// workload (all six when base.Workload is empty) base.Machine with REESE
+// enabled, then base.Machine itself, each sampling those of
+// base.Structures the machine can host (hostableStructures). Every
+// campaign goes through run, in that order, so a caller chooses where
+// it executes (Campaign, or a cluster of replicas) and what it does with
+// each report as it lands.
+func CampaignAll(base CampaignSpec, run func(CampaignSpec) (*CampaignReport, error)) (string, []CampaignReport, error) {
+	names := []string{base.Workload}
+	if base.Workload == "" {
+		names = workload.Names()
 	}
 	t := stats.NewTable("Fault injection: outcome taxonomy by structure (REESE vs baseline)",
 		"bench", "machine", "structure", "inj", "eff", "det", "rec", "sdc", "mask", "hang", "coverage", "95% CI")
-	for i, r := range all {
-		machine := "baseline"
-		if machines[i%len(machines)].Reese.Enabled {
-			machine = "REESE"
-		}
-		for _, s := range r.Structures {
-			t.AddRow(r.Workload, machine, s.Structure,
-				fmt.Sprint(s.Injected), fmt.Sprint(s.Effective),
-				fmt.Sprint(s.Detected), fmt.Sprint(s.Recovered),
-				fmt.Sprint(s.SDC), fmt.Sprint(s.Masked), fmt.Sprint(s.Hang),
-				fmt.Sprintf("%.0f%%", s.Coverage*100),
-				fmt.Sprintf("[%.0f%%, %.0f%%]", s.CoverageLo*100, s.CoverageHi*100))
+	var all []CampaignReport
+	for _, name := range names {
+		for _, m := range []config.Machine{base.Machine.WithReese(), base.Machine} {
+			spec := base
+			spec.Workload, spec.Machine = name, m
+			spec.Structures = hostableStructures(base.Structures, m)
+			r, err := run(spec)
+			if err != nil {
+				return "", nil, err
+			}
+			machine := "baseline"
+			if m.Reese.Enabled {
+				machine = "REESE"
+			}
+			for _, s := range r.Structures {
+				t.AddRow(r.Workload, machine, s.Structure,
+					fmt.Sprint(s.Injected), fmt.Sprint(s.Effective),
+					fmt.Sprint(s.Detected), fmt.Sprint(s.Recovered),
+					fmt.Sprint(s.SDC), fmt.Sprint(s.Masked), fmt.Sprint(s.Hang),
+					fmt.Sprintf("%.0f%%", s.Coverage*100),
+					fmt.Sprintf("[%.0f%%, %.0f%%]", s.CoverageLo*100, s.CoverageHi*100))
+			}
+			all = append(all, *r)
 		}
 	}
 	return t.String(), all, nil

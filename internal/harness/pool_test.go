@@ -66,11 +66,12 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Errorf("Figure2 differs between sequential and parallel runs:\n--- sequential ---\n%s\n--- parallel ---\n%s", a, b)
 	}
 
-	campSeq, _, err := CampaignAll(20, 42, seq)
+	base := CampaignSpec{Machine: config.Starting(), Injections: 20, Seed: 42}
+	campSeq, _, err := CampaignAll(base, func(s CampaignSpec) (*CampaignReport, error) { return Campaign(s, seq) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	campPar, _, err := CampaignAll(20, 42, par)
+	campPar, _, err := CampaignAll(base, func(s CampaignSpec) (*CampaignReport, error) { return Campaign(s, par) })
 	if err != nil {
 		t.Fatal(err)
 	}

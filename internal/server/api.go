@@ -61,7 +61,7 @@ type RunRequest struct {
 func (r RunRequest) normalize(lim Limits) (RunRequest, error) {
 	spec, ok := workload.ByName(r.Workload)
 	if !ok {
-		return r, fmt.Errorf("unknown workload %q (have %v)", r.Workload, workload.Names())
+		return r, errUnknownWorkload(r.Workload)
 	}
 	if r.Insts == 0 {
 		r.Insts = lim.DefaultRunInsts
@@ -154,54 +154,86 @@ type FaultsRequest struct {
 	TriageDetected bool `json:"triage_detected,omitempty"`
 }
 
-// maxFaultInjections bounds campaign size per request; at the default
-// run length this is roughly the cost of one large figure.
-const maxFaultInjections = 5_000
+// MaxFaultInjections bounds the trials one job runs: a faults request's
+// campaign size, and a shard's share of a distributed plan (the cluster
+// coordinator splits plans at this size). At the default run length
+// this is roughly the cost of one large figure.
+const MaxFaultInjections = 5_000
 
 func (r FaultsRequest) normalize(lim Limits) (FaultsRequest, error) {
-	if r.Workload != "" {
-		if _, ok := workload.ByName(r.Workload); !ok {
-			return r, fmt.Errorf("unknown workload %q (have %v)", r.Workload, workload.Names())
-		}
-	}
 	if r.Injections == 0 {
 		r.Injections = 200
 	}
-	if r.Injections < 0 || r.Injections > maxFaultInjections {
-		return r, fmt.Errorf("injections %d out of range [1,%d]", r.Injections, maxFaultInjections)
+	if r.Injections < 0 || r.Injections > MaxFaultInjections {
+		return r, fmt.Errorf("injections %d out of range [1,%d]", r.Injections, MaxFaultInjections)
 	}
-	if r.Seed == 0 {
-		// Canonicalize so sparse and explicit spellings of the default
-		// share one cache key.
-		r.Seed = 1
+	err := normalizeCampaign(lim, r.Workload, r.Structures, &r.Seed, &r.TargetInsts, r.CheckpointInterval, r.Triage, &r.TriageDetected)
+	return r, err
+}
+
+// campaignSpec is the base spec of the request's REESE-vs-baseline
+// comparison (harness.CampaignAll): the Table 1 machine, with SECDED on
+// its L2 when the request asks for it.
+func (r FaultsRequest) campaignSpec() harness.CampaignSpec {
+	m := config.Starting()
+	m.Memory.L2.ECC = r.L2ECC
+	return harness.CampaignSpec{
+		Workload:           r.Workload,
+		Machine:            m,
+		Structures:         parseStructures(r.Structures),
+		Injections:         r.Injections,
+		Seed:               r.Seed,
+		TargetInsts:        r.TargetInsts,
+		CheckpointInterval: r.CheckpointInterval,
+		Triage:             r.Triage,
+		TriageDetected:     r.TriageDetected,
 	}
-	for _, name := range r.Structures {
+}
+
+// normalizeCampaign validates the fields every campaign request carries,
+// FaultsRequest and ShardSpec alike, and canonicalizes their defaults in
+// place so sparse and explicit spellings of one campaign share a cache
+// key. An empty workload is the all-workloads sweep, which cannot be
+// triaged.
+func normalizeCampaign(lim Limits, wl string, structures []string, seed, targetInsts *uint64,
+	checkpointInterval uint64, triage bool, triageDetected *bool) error {
+	if _, ok := workload.ByName(wl); !ok && wl != "" {
+		return errUnknownWorkload(wl)
+	}
+	for _, name := range structures {
 		if _, ok := fault.ParseStruct(name); !ok {
-			return r, fmt.Errorf("unknown fault structure %q", name)
+			return fmt.Errorf("unknown fault structure %q", name)
 		}
 	}
-	if r.TargetInsts == 0 {
-		r.TargetInsts = 8_000
+	if *seed == 0 {
+		*seed = 1
 	}
-	if r.TargetInsts > lim.MaxInsts {
-		return r, fmt.Errorf("target_insts %d exceeds server limit %d", r.TargetInsts, lim.MaxInsts)
+	if *targetInsts == 0 {
+		*targetInsts = 8_000
 	}
-	if r.CheckpointInterval != 0 && r.CheckpointInterval < 64 {
+	if *targetInsts > lim.MaxInsts {
+		return fmt.Errorf("target_insts %d exceeds server limit %d", *targetInsts, lim.MaxInsts)
+	}
+	if checkpointInterval != 0 && checkpointInterval < 64 {
 		// A denser schedule than one snapshot per 64 instructions costs
 		// more memory than it saves simulation.
-		return r, fmt.Errorf("checkpoint_interval %d too small (min 64, or 0 for the default)", r.CheckpointInterval)
+		return fmt.Errorf("checkpoint_interval %d too small (min 64, or 0 for the default)", checkpointInterval)
 	}
-	if r.Triage && r.Workload == "" {
+	if triage && wl == "" {
 		// The all-workloads sweep is a summary view; triage artifacts only
 		// make sense against one campaign's trial log.
-		return r, fmt.Errorf("triage requires a single workload")
+		return fmt.Errorf("triage requires a single workload")
 	}
-	if !r.Triage {
-		// Canonicalize: triage_detected is meaningless without triage, and
-		// must not fragment the cache.
-		r.TriageDetected = false
+	if !triage {
+		// triage_detected is meaningless without triage, and must not
+		// fragment the cache.
+		*triageDetected = false
 	}
-	return r, nil
+	return nil
+}
+
+func errUnknownWorkload(name string) error {
+	return fmt.Errorf("unknown workload %q (have %v)", name, workload.Names())
 }
 
 // ShardSpec asks for one shard of a distributed fault campaign: trials
@@ -235,13 +267,13 @@ type ShardSpec struct {
 }
 
 // maxPlanInjections bounds the full distributed plan a shard may
-// reference; the per-worker work is still bounded by maxFaultInjections
+// reference; the per-worker work is still bounded by MaxFaultInjections
 // trials per shard.
 const maxPlanInjections = 10_000_000
 
 func (r ShardSpec) normalize(lim Limits) (ShardSpec, error) {
-	if _, ok := workload.ByName(r.Workload); !ok {
-		return r, fmt.Errorf("unknown workload %q (have %v)", r.Workload, workload.Names())
+	if r.Workload == "" {
+		return r, errUnknownWorkload(r.Workload)
 	}
 	if r.Machine == nil {
 		m := config.Starting().WithReese()
@@ -250,37 +282,27 @@ func (r ShardSpec) normalize(lim Limits) (ShardSpec, error) {
 	if err := r.Machine.Validate(); err != nil {
 		return r, err
 	}
-	for _, name := range r.Structures {
-		if _, ok := fault.ParseStruct(name); !ok {
-			return r, fmt.Errorf("unknown fault structure %q", name)
-		}
-	}
 	if r.Injections <= 0 || r.Injections > maxPlanInjections {
 		return r, fmt.Errorf("injections %d out of range [1,%d]", r.Injections, maxPlanInjections)
 	}
-	if r.ShardCount <= 0 || r.ShardCount > maxFaultInjections {
-		return r, fmt.Errorf("shard_count %d out of range [1,%d]", r.ShardCount, maxFaultInjections)
+	if r.ShardCount <= 0 || r.ShardCount > MaxFaultInjections {
+		return r, fmt.Errorf("shard_count %d out of range [1,%d]", r.ShardCount, MaxFaultInjections)
 	}
 	if r.ShardOffset < 0 || r.ShardOffset+r.ShardCount > r.Injections {
 		return r, fmt.Errorf("shard [%d,%d) outside the %d-trial plan",
 			r.ShardOffset, r.ShardOffset+r.ShardCount, r.Injections)
 	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.TargetInsts == 0 {
-		r.TargetInsts = 8_000
-	}
-	if r.TargetInsts > lim.MaxInsts {
-		return r, fmt.Errorf("target_insts %d exceeds server limit %d", r.TargetInsts, lim.MaxInsts)
-	}
-	if r.CheckpointInterval != 0 && r.CheckpointInterval < 64 {
-		return r, fmt.Errorf("checkpoint_interval %d too small (min 64, or 0 for the default)", r.CheckpointInterval)
-	}
-	if !r.Triage {
-		r.TriageDetected = false
-	}
-	return r, nil
+	err := normalizeCampaign(lim, r.Workload, r.Structures, &r.Seed, &r.TargetInsts, r.CheckpointInterval, r.Triage, &r.TriageDetected)
+	return r, err
+}
+
+// Validate reports whether the shard is one a worker accepts, without
+// canonicalizing it: the cluster coordinator checks a campaign before
+// journaling it, and the spec it journals must stay as the client sent
+// it.
+func (r ShardSpec) Validate(lim Limits) error {
+	_, err := r.normalize(lim)
+	return err
 }
 
 // campaignSpec converts the normalized wire form into the harness spec.

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math"
 	"net/http"
 	"runtime"
@@ -37,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"reese/internal/config"
 	"reese/internal/fault"
 	"reese/internal/harness"
 	"reese/internal/pipeline"
@@ -706,71 +706,49 @@ func (s *Server) runFigure(ctx context.Context, req FigureRequest, progress *ato
 	return jobOutput{payload: raw, insts: insts}, nil
 }
 
-// runFaults executes one FaultsRequest.
+// runFaults executes one FaultsRequest: the harness's REESE-vs-baseline
+// expansion of the request (harness.CampaignAll), each campaign run as
+// one full-plan shard through the core shard jobs use. Escaped trials
+// ride in the payload, their traces keyed "reportIdx/trialIdx".
 func (s *Server) runFaults(ctx context.Context, req FaultsRequest, progress *atomic.Uint64) (jobOutput, error) {
-	opt := harness.Options{Parallel: s.gridParallel, Ctx: ctx, Progress: progress}
 	var payload FaultsPayload
-	if req.Workload == "" {
-		table, reports, err := harness.CampaignAll(req.Injections, req.Seed, opt)
+	n := 0
+	table, reports, err := harness.CampaignAll(req.campaignSpec(), func(spec harness.CampaignSpec) (*harness.CampaignReport, error) {
+		rep, traces, err := s.runCampaign(ctx, spec, progress, fmt.Sprintf("%d/", n))
+		n++
 		if err != nil {
-			return jobOutput{}, err
+			return nil, err
 		}
-		payload = FaultsPayload{Reports: reports, Table: table}
-	} else {
-		// One workload: REESE vs baseline, RSQ-only structures dropped on
-		// the machine that has no R-stream Queue.
-		structs := parseStructures(req.Structures)
-		var b strings.Builder
-		for _, cfg := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
-			if req.L2ECC {
-				cfg.Memory.L2.ECC = true
-			}
-			spec := harness.CampaignSpec{
-				Workload:           req.Workload,
-				Machine:            cfg,
-				Injections:         req.Injections,
-				Seed:               req.Seed,
-				TargetInsts:        req.TargetInsts,
-				CheckpointInterval: req.CheckpointInterval,
-				Triage:             req.Triage,
-				TriageDetected:     req.TriageDetected,
-				Structures:         harness.HostableStructures(structs, cfg),
-				TriageObserver:     s.observeTriage,
-			}
-			rep, err := harness.Campaign(spec, opt)
-			if err != nil {
-				return jobOutput{}, err
-			}
-			// Escaped trials keep their triage records in the payload, and
-			// the trace blobs ride in the traces map (keyed
-			// "reportIdx/trialIdx") for the per-trace endpoint.
-			reportIdx := len(payload.Reports)
-			for i := range rep.Trials {
-				t := rep.Trials[i]
-				if t.Triage == nil {
-					continue
-				}
+		for _, t := range rep.Trials {
+			if t.Triage != nil {
 				payload.Escapes = append(payload.Escapes, t)
-				if len(t.Triage.Trace) > 0 {
-					if payload.Traces == nil {
-						payload.Traces = make(map[string]json.RawMessage)
-					}
-					payload.Traces[fmt.Sprintf("%d/%d", reportIdx, t.Index)] = json.RawMessage(t.Triage.Trace)
-				}
 			}
-			payload.Reports = append(payload.Reports, *rep)
-			b.WriteString(rep.Table())
-			b.WriteByte('\n')
 		}
-		payload.Table = b.String()
+		if payload.Traces == nil {
+			payload.Traces = traces
+		} else {
+			maps.Copy(payload.Traces, traces)
+		}
+		return rep, nil
+	})
+	if err != nil {
+		return jobOutput{}, err
 	}
-	raw, merr := json.Marshal(payload)
-	if merr != nil {
-		return jobOutput{}, merr
-	}
+	payload.Reports, payload.Table = reports, table
 	var insts uint64
-	for i := range payload.Reports {
-		insts += payload.Reports[i].Injected * payload.Reports[i].GoldenInsts
+	var perReport strings.Builder
+	for i := range reports {
+		insts += reports[i].Injected * reports[i].GoldenInsts
+		perReport.WriteString(reports[i].Table())
+		perReport.WriteByte('\n')
+	}
+	if req.Workload != "" {
+		// One workload reads better as its two campaigns' own tables.
+		payload.Table = perReport.String()
+	}
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return jobOutput{}, err
 	}
 	return jobOutput{payload: raw, insts: insts}, nil
 }
@@ -778,40 +756,48 @@ func (s *Server) runFaults(ctx context.Context, req FaultsRequest, progress *ato
 // runShard executes one ShardSpec: the [offset, offset+count) slice of
 // the full campaign plan. The payload carries the per-trial records
 // alongside the report (the report's own JSON form excludes them) so
-// the coordinator can reconstitute the full trial log after the merge.
+// the coordinator can reconstitute the full trial log after the merge,
+// and a digest so it can tell a payload damaged in flight from a
+// healthy one.
 func (s *Server) runShard(ctx context.Context, req ShardSpec, progress *atomic.Uint64) (jobOutput, error) {
-	opt := harness.Options{Parallel: s.gridParallel, Ctx: ctx, Progress: progress}
-	spec := req.campaignSpec()
-	spec.TriageObserver = s.observeTriage
-	rep, err := harness.Campaign(spec, opt)
+	rep, traces, err := s.runCampaign(ctx, req.campaignSpec(), progress, "")
 	if err != nil {
 		return jobOutput{}, err
 	}
-	p := ShardPayload{Report: *rep, Trials: rep.Trials}
-	for i := range rep.Trials {
-		t := &rep.Trials[i]
-		if t.Triage == nil || len(t.Triage.Trace) == 0 {
-			continue
-		}
-		if p.Traces == nil {
-			p.Traces = make(map[string]json.RawMessage)
-		}
-		// Keyed by the trial's global plan index, which is what the
-		// cluster coordinator knows the trial by after the merge.
-		p.Traces[strconv.Itoa(t.Index)] = json.RawMessage(t.Triage.Trace)
-	}
-	// Stamp the end-to-end integrity digest so the coordinator can tell
-	// a damaged-in-flight payload from a healthy one.
-	digest, err := p.CanonicalDigest()
-	if err != nil {
+	p := ShardPayload{Report: *rep, Trials: rep.Trials, Traces: traces}
+	if p.Digest, err = p.CanonicalDigest(); err != nil {
 		return jobOutput{}, err
 	}
-	p.Digest = digest
 	raw, err := json.Marshal(p)
 	if err != nil {
 		return jobOutput{}, err
 	}
 	return jobOutput{payload: raw, insts: rep.Injected * rep.GoldenInsts}, nil
+}
+
+// runCampaign is the core of faults and shard jobs: one campaign on the
+// job's share of the worker pool, with triage replays observed in the
+// metrics and the Perfetto trace of every triaged trial collected under
+// keyPrefix plus the trial's global plan index (the index is what the
+// cluster coordinator knows a trial by after the merge).
+func (s *Server) runCampaign(ctx context.Context, spec harness.CampaignSpec, progress *atomic.Uint64,
+	keyPrefix string) (*harness.CampaignReport, map[string]json.RawMessage, error) {
+	spec.TriageObserver = s.observeTriage
+	rep, err := harness.Campaign(spec, harness.Options{Parallel: s.gridParallel, Ctx: ctx, Progress: progress})
+	if err != nil {
+		return nil, nil, err
+	}
+	var traces map[string]json.RawMessage
+	for _, t := range rep.Trials {
+		if t.Triage == nil || len(t.Triage.Trace) == 0 {
+			continue
+		}
+		if traces == nil {
+			traces = make(map[string]json.RawMessage)
+		}
+		traces[keyPrefix+strconv.Itoa(t.Index)] = json.RawMessage(t.Triage.Trace)
+	}
+	return rep, traces, nil
 }
 
 // handleBatch serves POST /v1/faults/batch: several shards accepted (or

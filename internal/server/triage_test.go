@@ -139,3 +139,42 @@ func sumMetric(metrics, pattern string) int {
 	}
 	return total
 }
+
+// TestFaultsAllWorkloadsHonoursRequest: the all-workloads sweep runs
+// the request it was given. Every one of its twelve campaigns samples
+// only the requested structures, at the requested golden-run length,
+// on machines with the requested SECDED L2 (visible as corrected
+// single-bit L2 faults).
+func TestFaultsAllWorkloadsHonoursRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	v := awaitJob(t, ts.URL, postJSON(t, ts.URL+"/v1/faults", FaultsRequest{
+		Injections:  8,
+		Seed:        5,
+		Structures:  []string{"l2-line"},
+		TargetInsts: 20_000,
+		L2ECC:       true,
+	}).ID)
+	if v.State != StateDone {
+		t.Fatalf("faults job ended %s: %s", v.State, v.Error)
+	}
+	var payload FaultsPayload
+	if err := json.Unmarshal(v.Result, &payload); err != nil {
+		t.Fatal(err)
+	}
+	if len(payload.Reports) != 12 {
+		t.Fatalf("got %d reports, want 12 (six workloads x two machines)", len(payload.Reports))
+	}
+	var corrected uint64
+	for _, r := range payload.Reports {
+		if len(r.Structures) != 1 || r.Structures[0].Structure != "l2-line" {
+			t.Errorf("%s on %s sampled %d structures, want only l2-line", r.Workload, r.Config, len(r.Structures))
+		}
+		if r.GoldenInsts < 20_000 {
+			t.Errorf("%s on %s golden run %d insts, want >= target_insts 20000", r.Workload, r.Config, r.GoldenInsts)
+		}
+		corrected += r.Corrected
+	}
+	if corrected == 0 {
+		t.Error("no L2 fault was corrected; the machines ran without the requested SECDED L2")
+	}
+}
