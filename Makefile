@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-all bench-smoke bench-module-test trace figures faults faults-smoke faults-mem-smoke triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
+.PHONY: all build test test-race vet bench-all bench-ab bench-module-test trace figures faults faults-smoke faults-mem-smoke triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
 
 all: build test
 
@@ -21,20 +21,32 @@ test: vet
 test-race: vet
 	$(GO) test -race ./...
 
-# The tracked hot-path benchmark; results are appended to
-# BENCH_pipeline.json so the perf trajectory accumulates across commits.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkCampaignThroughput' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_pipeline.json -label "$(BENCH_LABEL)"
-
 # One benchmark per paper table/figure, run once each.
 bench-all:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Performance gate: rerun the tracked benchmark (instrumentation
-# compiled in but disabled) and fail if sim-insts/s dropped >5% or
-# allocs/op grew versus the newest entry in BENCH_pipeline.json.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkCampaignThroughput' -benchmem . | $(GO) run ./cmd/benchjson -check -out BENCH_pipeline.json
+# Throughput gate: reese-bench's figures and campaign workloads on
+# BASE (a git ref, checked out with git worktree under .bench_build/)
+# and on this tree, on one host: five seed-matched pairs, alternating
+# which side runs first. Fails on a `worse` end-to-end metric, a
+# changed output digest or a higher failed share (reese-bench -compare).
+# figures stands in for BenchmarkSimThroughput, campaign for
+# BenchmarkCampaignThroughput; the allocation budgets are tests.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<git ref>" >&2; exit 2; }
+	@set -eu; ab="$$PWD/.bench_build/ab"; \
+	if [ -d "$$ab/parent" ]; then git worktree remove --force "$$ab/parent"; fi; \
+	rm -rf "$$ab"; mkdir -p "$$ab"; \
+	git worktree add --detach "$$ab/parent" "$(BASE)"; \
+	trap 'git worktree remove --force "$$ab/parent"' EXIT; \
+	run() { for w in figures campaign; do \
+		(cd "$$2" && bash cmd/reese-bench/bench.sh -workload $$w -seed $$3 -out "$$ab/$$1.jsonl"); \
+	done; }; \
+	for seed in 1 2 3 4 5; do \
+		if [ $$((seed % 2)) = 1 ]; then run parent "$$ab/parent" $$seed; run change . $$seed; \
+		else run change . $$seed; run parent "$$ab/parent" $$seed; fi; \
+	done; \
+	bash cmd/reese-bench/bench.sh -compare "$$ab/parent.jsonl" "$$ab/change.jsonl"
 
 # Tests of the end-to-end benchmark command (its own module, so the
 # root `go test ./...` does not build it): statistics, -compare verdicts,
@@ -107,10 +119,10 @@ cluster-chaos-smoke:
 	$(GO) test ./internal/cluster/ -run 'TestClusterChaosResume' -count=1 -v
 
 # Serving-layer load curves: drive an in-process 2-worker topology at
-# stepped RPS and report p50/p99 latency and the saturation curve. Set
-# LOAD_OUT=BENCH_pipeline.json to track the results.
+# stepped RPS and report p50/p99 latency and the saturation curve; the
+# last line of output is the per-step results as JSON.
 load:
-	$(GO) run ./cmd/reese-load -self 2 -rps 2,5,10,20 -step 5s -out "$(LOAD_OUT)" -label "$(BENCH_LABEL)"
+	$(GO) run ./cmd/reese-load -self 2 -rps 2,5,10,20 -step 5s
 
 # Short fuzz passes over the write-ahead-log replayers (torn tails,
 # garbage, hostile records): the shared log core, the job journal, and

@@ -1,16 +1,17 @@
-// Command reese-load drives a reese-serve topology — worker replicas
-// and, optionally, a cluster coordinator — with N concurrent clients
-// at a stepped target RPS, and reports the latency distribution and
-// saturation curve each step produces. Results append to the same
-// tracking file cmd/benchjson maintains, so serving-layer capacity
-// accumulates alongside simulator throughput.
+// Command reese-load is the open-loop load driver for real reese-serve
+// deployments: it drives worker replicas and, optionally, a cluster
+// coordinator with N concurrent clients at a stepped target RPS, and
+// reports the latency distribution and saturation curve each step
+// produces. The last line of standard output is the per-step results as
+// one JSON array. (The repository's benchmark is reese-bench; this
+// command measures a deployment's capacity, not the code's speed.)
 //
 // Usage:
 //
-//	reese-load -self 2                         # in-process topology, default steps
 //	reese-load -target http://a:8321,http://b:8321 -rps 5,10,20 -step 10s
-//	reese-load -self 2 -kind cluster -rps 1,2  # drive the coordinator endpoint
-//	reese-load -self 2 -out BENCH_pipeline.json -label "cluster PR"
+//	reese-load -target http://coord:8320 -kind cluster -rps 1,2  # drive a coordinator
+//	reese-load -target http://a:8321 -chaos-seed 7               # seeded network faults on the clients
+//	reese-load -self 2                                           # in-process topology, default steps
 //
 // Each request is unique (the seed varies per request), so latencies
 // measure real simulation work, not result-cache hits. A 503 counts as
@@ -41,7 +42,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // stepResult is one RPS step's measurements.
@@ -58,25 +59,32 @@ type stepResult struct {
 	MaxMS       float64 `json:"max_ms"`
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("reese-load", flag.ContinueOnError)
 	var (
-		targets    = flag.String("target", "", "comma-separated base URLs to drive (empty: requires -self)")
-		selfN      = flag.Int("self", 0, "start this many in-process worker replicas (plus a coordinator for -kind cluster)")
-		kind       = flag.String("kind", "faults", "request kind per client op: run | faults | cluster")
-		rpsList    = flag.String("rps", "2,5,10,20", "comma-separated target RPS steps")
-		stepDur    = flag.Duration("step", 5*time.Second, "duration of each RPS step")
-		clients    = flag.Int("clients", 16, "max in-flight requests (the concurrent client pool)")
-		workload   = flag.String("workload", "li", "workload each request simulates")
-		insts      = flag.Uint64("insts", 5_000, "instruction budget per -kind run request")
-		injections = flag.Int("n", 20, "injections per -kind faults/cluster request")
-		out        = flag.String("out", "", "append results to this benchjson tracking file (empty: stdout only)")
-		label      = flag.String("label", "", "label stored with each tracked entry")
-		chaosSeed  = flag.Int64("chaos-seed", 0, "seed the chaos transport on the load clients (0 disables); with -chaos-* probabilities it injects seeded network faults")
-		chaosDrop  = flag.Float64("chaos-drop", 0.05, "per-request drop probability under -chaos-seed")
-		chaos5xx   = flag.Float64("chaos-5xx", 0.05, "per-request synthesized-503 probability under -chaos-seed")
-		chaosFlip  = flag.Float64("chaos-corrupt", 0.02, "per-response bit-flip probability under -chaos-seed")
+		targets    = fs.String("target", "", "comma-separated base URLs to drive (empty: requires -self)")
+		selfN      = fs.Int("self", 0, "start this many in-process worker replicas (plus a coordinator for -kind cluster)")
+		kind       = fs.String("kind", "faults", "request kind per client op: run | faults | cluster")
+		rpsList    = fs.String("rps", "2,5,10,20", "comma-separated target RPS steps")
+		stepDur    = fs.Duration("step", 5*time.Second, "duration of each RPS step")
+		clients    = fs.Int("clients", 16, "max in-flight requests (the concurrent client pool)")
+		workload   = fs.String("workload", "li", "workload each request simulates")
+		insts      = fs.Uint64("insts", 5_000, "instruction budget per -kind run request")
+		injections = fs.Int("n", 20, "injections per -kind faults/cluster request")
+		chaosSeed  = fs.Int64("chaos-seed", 0, "seed the chaos transport on the load clients (0 disables); with -chaos-* probabilities it injects seeded network faults")
+		chaosDrop  = fs.Float64("chaos-drop", 0.05, "per-request drop probability under -chaos-seed")
+		chaos5xx   = fs.Float64("chaos-5xx", 0.05, "per-request synthesized-503 probability under -chaos-seed")
+		chaosFlip  = fs.Float64("chaos-corrupt", 0.02, "per-response bit-flip probability under -chaos-seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch *kind {
+	case "run", "faults", "cluster":
+	default:
+		fmt.Fprintf(os.Stderr, "reese-load: -kind %q: want run, faults or cluster\n", *kind)
+		return 2
+	}
 
 	urls := splitList(*targets)
 	var coordinatorURL string
@@ -147,13 +155,9 @@ func run() int {
 		fmt.Printf("chaos injected %d faults: %d drops, %d 503s, %d corrupted bodies\n",
 			chaosTr.Injected(), chaosTr.Drops(), chaosTr.Err5xx(), chaosTr.Corrupted())
 	}
-
-	if *out != "" {
-		if err := appendEntries(*out, *label, *kind, results); err != nil {
-			fmt.Fprintln(os.Stderr, "reese-load:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "reese-load: appended %d entries to %s\n", len(results), *out)
+	if err := json.NewEncoder(os.Stdout).Encode(results); err != nil {
+		fmt.Fprintln(os.Stderr, "reese-load:", err)
+		return 1
 	}
 	for _, r := range results {
 		if r.OK == 0 {
@@ -257,7 +261,7 @@ func (g *generator) one() string {
 		return g.post(g.pick(seq)+"/v1/run?wait=60s", body)
 	case "cluster":
 		return g.stream(g.coordinator+"/v1/cluster/faults", body)
-	default: // faults
+	default: // faults; run validates -kind
 		return g.post(g.pick(seq)+"/v1/faults?wait=60s", body)
 	}
 }
@@ -394,51 +398,4 @@ func percentile(xs []float64, p float64) float64 {
 		i = len(xs) - 1
 	}
 	return xs[i]
-}
-
-// benchEntry mirrors cmd/benchjson's tracked-entry shape.
-type benchEntry struct {
-	Label   string             `json:"label,omitempty"`
-	Name    string             `json:"name"`
-	Iters   int64              `json:"iters"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-type benchFile struct {
-	Entries []benchEntry `json:"entries"`
-}
-
-// appendEntries adds one tracked entry per RPS step to the benchjson
-// file, preserving everything already there.
-func appendEntries(path, label, kind string, results []stepResult) error {
-	var f benchFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	for _, r := range results {
-		f.Entries = append(f.Entries, benchEntry{
-			Label: label,
-			Name:  fmt.Sprintf("ReeseLoad/%s/rps=%g", kind, r.TargetRPS),
-			Iters: int64(r.Sent),
-			Metrics: map[string]float64{
-				"target_rps":   r.TargetRPS,
-				"achieved_rps": r.AchievedRPS,
-				"p50_ms":       r.P50MS,
-				"p99_ms":       r.P99MS,
-				"max_ms":       r.MaxMS,
-				"shed_503":     float64(r.Shed),
-				"errors":       float64(r.Errors),
-			},
-		})
-	}
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
 }

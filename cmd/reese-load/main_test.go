@@ -16,3 +16,14 @@ func TestRunBodiesAreDistinct(t *testing.T) {
 		seen[b] = seq
 	}
 }
+
+// An unknown -kind must stop the command before it drives anything;
+// the known kinds get past the check and fail later for want of a
+// target.
+func TestKindValidated(t *testing.T) {
+	for kind, want := range map[string]int{"clsuter": 2, "": 2, "run": 1, "faults": 1, "cluster": 1} {
+		if got := run([]string{"-kind", kind}); got != want {
+			t.Errorf("-kind %q: exit %d, want %d", kind, got, want)
+		}
+	}
+}

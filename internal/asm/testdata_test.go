@@ -14,8 +14,8 @@ import (
 func TestExampleAssemblyPrograms(t *testing.T) {
 	want := map[string][]byte{
 		"demo.s": {83}, // low byte of 4179, the sum of the 16 generated Fibonacci terms
-		"sort.s": {1},                 // sorted correctly
-		"gcd.s":  {21},                // gcd(1071, 462)
+		"sort.s": {1},  // sorted correctly
+		"gcd.s":  {21}, // gcd(1071, 462)
 	}
 	dir := filepath.Join("..", "..", "examples", "testdata")
 	entries, err := os.ReadDir(dir)

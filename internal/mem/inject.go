@@ -20,10 +20,10 @@ type WordPlane interface {
 
 // Fault-record kinds.
 const (
-	frNone uint8 = iota
-	frTag        // tag flipped; wrong-address write-back if evicted dirty
-	frLostWB     // dirty bit cleared; revert line words if evicted clean
-	frData       // resident-data word flipped; clean refill reverts it
+	frNone   uint8 = iota
+	frTag          // tag flipped; wrong-address write-back if evicted dirty
+	frLostWB       // dirty bit cleared; revert line words if evicted clean
+	frData         // resident-data word flipped; clean refill reverts it
 )
 
 // faultRec is the residue one injected cache fault leaves until the

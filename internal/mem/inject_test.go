@@ -14,10 +14,10 @@ func newTestPlane(bytes uint32) *testPlane {
 	return p
 }
 
-func (p *testPlane) ReadWord(addr uint32) (uint32, error)  { return p.words[addr/4], nil }
-func (p *testPlane) WriteWord(addr, v uint32) error        { p.words[addr/4] = v; return nil }
-func (p *testPlane) Size() uint32                          { return uint32(len(p.words)) * 4 }
-func (p *testPlane) word(addr uint32) uint32               { return p.words[addr/4] }
+func (p *testPlane) ReadWord(addr uint32) (uint32, error) { return p.words[addr/4], nil }
+func (p *testPlane) WriteWord(addr, v uint32) error       { p.words[addr/4] = v; return nil }
+func (p *testPlane) Size() uint32                         { return uint32(len(p.words)) * 4 }
+func (p *testPlane) word(addr uint32) uint32              { return p.words[addr/4] }
 
 // injectCache builds the 4-set 2-way 32B-block cache the injection
 // tests share, attached to a fresh 1 KB plane.
