@@ -143,17 +143,12 @@ func BenchmarkFaultCampaign(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationRSQSize(b *testing.B) {
+// BenchmarkAblations times reese-sweep -figure ablations: the seven
+// ablations and the permanent-fault table, their fault-free cells in
+// one pass.
+func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.RSQSweep([]int{8, 32}, benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPartialReexec(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.PartialReexecSweep([]int{1, 2}, benchOptions()); err != nil {
+		if _, err := harness.Ablations(benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 //	reese-sweep -figure all            # everything (Tables 1-2, Figures 2-7)
 //	reese-sweep -figure 2              # one figure
 //	reese-sweep -figure faults         # fault-injection campaign
-//	reese-sweep -figure ablations      # RSQ size + partial re-execution sweeps
+//	reese-sweep -figure ablations      # the seven ablations + permanent-fault table
 //	reese-sweep -figure idle           # the §4.1 idle-capacity premise
 //	reese-sweep -figure 2 -json        # the figure series as JSON (2-7, faults)
 //	reese-sweep -insts 1000000         # bigger instruction budget per run
@@ -152,39 +152,8 @@ func run() int {
 		}
 		return emit(tbl, err)
 	case "ablations":
-		rsq, _, err := harness.RSQSweep([]int{4, 8, 16, 32, 64}, opt)
-		if err != nil {
-			return emit("", err)
-		}
-		partial, err := harness.PartialReexecSweep([]int{1, 2, 4, 8}, opt)
-		if err != nil {
-			return emit("", err)
-		}
-		hw, _, err := harness.HighWaterSweep([]int{4, 8, 16, 24, 31}, opt)
-		if err != nil {
-			return emit("", err)
-		}
-		pred, _, err := harness.PredictorSweep(opt)
-		if err != nil {
-			return emit("", err)
-		}
-		lat, _, err := harness.DetectionLatencyVsRSQ([]int{8, 16, 32, 64}, opt)
-		if err != nil {
-			return emit("", err)
-		}
-		wp, err := harness.WrongPathSweep(opt)
-		if err != nil {
-			return emit("", err)
-		}
-		schemes, _, err := harness.SchemeComparison(opt)
-		if err != nil {
-			return emit("", err)
-		}
-		perm, err := harness.PermanentFaultCoverage(opt)
-		if err != nil {
-			return emit("", err)
-		}
-		return emit(rsq+"\n"+partial+"\n"+hw+"\n"+pred+"\n"+lat+"\n"+wp+"\n"+schemes+"\n"+perm, nil)
+		tbl, err := harness.Ablations(opt)
+		return emit(tbl, err)
 	case "idle":
 		tbl, err := harness.IdleCapacity(opt)
 		return emit(tbl, err)

@@ -46,7 +46,7 @@ func TestPredictorKindString(t *testing.T) {
 }
 
 func TestGshareBeatsStaticOnPipeline(t *testing.T) {
-	opt := Options{Insts: 40_000}
+	opt := Options{Insts: 40_000}.normalize()
 	g, err := runOne(config.Starting(), "gcc", opt)
 	if err != nil {
 		t.Fatal(err)

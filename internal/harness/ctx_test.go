@@ -3,8 +3,11 @@ package harness
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"reese/internal/config"
 )
 
 // TestFigureCancellation: a cancelled Options.Ctx aborts a grid, or a
@@ -30,5 +33,50 @@ func TestFigureCancellation(t *testing.T) {
 	// grid short long before that.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("cancellation took %v", elapsed)
+	}
+}
+
+// TestExperimentsHonourCancel: every experiment, fault-injected or
+// not, stops on a cancelled Options.Ctx and reports its simulations'
+// commits through Options.Progress.
+func TestExperimentsHonourCancel(t *testing.T) {
+	experiments := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"RSQSweep", func(opt Options) error {
+			_, _, err := RSQSweep([]int{8}, opt)
+			return err
+		}},
+		{"PartialReexecSweep", func(opt Options) error {
+			_, err := PartialReexecSweep([]int{2}, opt)
+			return err
+		}},
+		{"DetectionLatencyVsRSQ", func(opt Options) error {
+			_, _, err := DetectionLatencyVsRSQ([]int{8}, opt)
+			return err
+		}},
+		{"PermanentFaultCoverage", func(opt Options) error {
+			_, err := PermanentFaultCoverage(opt)
+			return err
+		}},
+		{"BitGrid", func(opt Options) error {
+			_, err := BitGrid(config.Starting().WithReese(), "li", 100, opt)
+			return err
+		}},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range experiments {
+		var progress atomic.Uint64
+		if err := e.run(Options{Insts: 5_000, Ctx: cancelled, Progress: &progress}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with cancelled ctx: %v, want context.Canceled", e.name, err)
+		}
+		if err := e.run(Options{Insts: 5_000, Progress: &progress}); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if progress.Load() == 0 {
+			t.Errorf("%s added nothing to Options.Progress", e.name)
+		}
 	}
 }

@@ -1143,21 +1143,18 @@ func CampaignAll(base CampaignSpec, run func(CampaignSpec) (*CampaignReport, err
 // of the baseline's? It returns the spare count and the gap at each
 // step.
 func SpareSearch(base config.Machine, maxSpares int, tolerance float64, opt Options) (int, []float64, error) {
-	opt = opt.normalize()
-	baseAvg, err := averageIPC(base, opt)
+	fig, err := runGrid(grid{variants: []variant{{"Baseline", base}}}, opt)
 	if err != nil {
 		return 0, nil, err
 	}
+	baseAvg := fig.Average("Baseline")
 	var gaps []float64
 	for n := 0; n <= maxSpares; n++ {
-		cfg := base.WithReese()
-		if n > 0 {
-			cfg = cfg.WithSpares(n, 0)
-		}
-		avg, err := averageIPC(cfg, opt)
+		fig, err := runGrid(grid{variants: []variant{{"REESE", base.WithReese().WithSpares(n, 0)}}}, opt)
 		if err != nil {
 			return 0, nil, err
 		}
+		avg := fig.Average("REESE")
 		gap := (baseAvg - avg) / baseAvg
 		gaps = append(gaps, gap*100)
 		if gap <= tolerance {
@@ -1167,132 +1164,17 @@ func SpareSearch(base config.Machine, maxSpares int, tolerance float64, opt Opti
 	return -1, gaps, nil
 }
 
-// averageIPC runs cfg on all six workloads (in parallel on the shared
-// pool) and returns the mean IPC; summation is in workload order, so
-// the value is independent of parallelism.
-func averageIPC(cfg config.Machine, opt Options) (float64, error) {
-	res, err := workloadResults(cfg, opt)
-	if err != nil {
-		return 0, err
-	}
-	return meanIPC(res), nil
-}
-
-func meanIPC(res []pipeline.Result) float64 {
-	var sum float64
-	for _, r := range res {
-		sum += r.IPC
-	}
-	return sum / float64(len(res))
-}
-
-// workloadResults simulates cfg on every Table 2 workload, in parallel,
-// and returns the results in workload.Names() order.
-func workloadResults(cfg config.Machine, opt Options) ([]pipeline.Result, error) {
-	names := workload.Names()
-	res := make([]pipeline.Result, len(names))
-	err := forEach(len(names), opt.Parallel, func(i int) error {
-		var err error
-		res[i], err = runOne(cfg, names[i], opt)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RSQSweep is the DESIGN.md §7 ablation: REESE average IPC as a function
-// of R-stream Queue size, exposing the paper's "appropriate length"
-// sensitivity (§4.3).
-func RSQSweep(sizes []int, opt Options) (string, map[int]float64, error) {
-	opt = opt.normalize()
-	out := make(map[int]float64, len(sizes))
-	t := stats.NewTable("Ablation: R-stream Queue size vs average IPC (starting config)",
-		"rsq size", "avg IPC", "gap vs baseline %")
-	baseAvg, err := averageIPC(config.Starting(), opt)
-	if err != nil {
-		return "", nil, err
-	}
-	for _, size := range sizes {
-		avg, err := averageIPC(config.Starting().WithReese().WithRSQ(size), opt)
-		if err != nil {
-			return "", nil, err
-		}
-		out[size] = avg
-		t.AddRow(fmt.Sprint(size), fmt.Sprintf("%.3f", avg),
-			fmt.Sprintf("%.1f", stats.PercentDelta(baseAvg, avg)))
-	}
-	return t.String(), out, nil
-}
-
-// PartialReexecSweep is the paper's §7 future-work experiment:
-// re-execute only one in every n instructions, trading coverage for
-// speed. Coverage is measured with randomly-placed faults (a periodic
-// injector would alias with the deterministic skip pattern and report
-// all-or-nothing coverage).
-func PartialReexecSweep(everies []int, opt Options) (string, error) {
-	opt = opt.normalize()
-	t := stats.NewTable("Ablation: partial re-execution (paper §7 future work)",
-		"re-execute 1/N", "avg IPC", "gap vs baseline %", "coverage of injected faults")
-	baseAvg, err := averageIPC(config.Starting(), opt)
-	if err != nil {
-		return "", err
-	}
-	for _, n := range everies {
-		cfg := config.Starting().WithReese().WithPartialReexec(n)
-		avg, err := averageIPC(cfg, opt)
-		if err != nil {
-			return "", err
-		}
-		coverage, err := randomFaultCoverage(cfg, "gcc", opt)
-		if err != nil {
-			return "", err
-		}
-		t.AddRow(fmt.Sprintf("1/%d", n), fmt.Sprintf("%.3f", avg),
-			fmt.Sprintf("%.1f", stats.PercentDelta(baseAvg, avg)),
-			fmt.Sprintf("%.0f%%", coverage*100))
-	}
-	return t.String(), nil
-}
-
-// randomFaultCoverage injects randomly-placed faults (roughly one per
-// 2000 instructions) and returns the detected fraction.
-func randomFaultCoverage(cfg config.Machine, workloadName string, opt Options) (float64, error) {
-	spec, ok := workload.ByName(workloadName)
-	if !ok {
-		return 0, fmt.Errorf("unknown workload %q", workloadName)
-	}
-	prog, err := spec.Build(spec.DefaultIters * 2)
-	if err != nil {
-		return 0, err
-	}
-	inj := fault.NewRandom(1<<32/2000, 0xFEED)
-	cpu, err := pipeline.New(cfg, prog, inj)
-	if err != nil {
-		return 0, err
-	}
-	res, err := cpu.Run(opt.Insts)
-	if err != nil {
-		return 0, err
-	}
-	if res.FaultsInjected == 0 {
-		return 0, nil
-	}
-	return float64(res.FaultsDetected) / float64(res.FaultsInjected), nil
-}
-
 // IdleCapacity measures the §4.1 premise: the fraction of issue slots
 // and functional units a baseline machine leaves idle.
 func IdleCapacity(opt Options) (string, error) {
-	opt = opt.normalize()
+	fig, err := runGrid(grid{variants: []variant{{"Baseline", config.Starting()}}}, opt)
+	if err != nil {
+		return "", err
+	}
 	t := stats.NewTable("Idle capacity on the baseline (paper §4.1 premise)",
 		"bench", "IPC", "of width", "ALU util", "Mult util", "MemPort util")
-	for _, name := range workload.Names() {
-		res, err := runOne(config.Starting(), name, opt)
-		if err != nil {
-			return "", err
-		}
+	for _, name := range fig.Workloads {
+		res := fig.result(name, "Baseline")
 		t.AddRow(name,
 			fmt.Sprintf("%.3f", res.IPC),
 			fmt.Sprintf("%.0f%%", res.IPC/float64(config.Starting().Width)*100),
@@ -1320,23 +1202,15 @@ type BitGridResult struct {
 // than in unit isolation.
 func BitGrid(cfg config.Machine, workloadName string, atSeq uint64, opt Options) ([]BitGridResult, error) {
 	opt = opt.normalize()
-	spec, ok := workload.ByName(workloadName)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q", workloadName)
-	}
 	out := make([]BitGridResult, 32)
 	err := forEach(32, opt.Parallel, func(i int) error {
 		bit := uint8(i)
-		prog, err := spec.Build(spec.DefaultIters)
-		if err != nil {
-			return err
-		}
 		inj := &fault.AtSeq{Seq: atSeq, Bit: bit}
-		cpu, err := pipeline.New(cfg, prog, inj)
+		cpu, err := newCPU(cfg, workloadName, 1, inj, opt)
 		if err != nil {
 			return err
 		}
-		res, err := cpu.Run(atSeq + 20_000)
+		res, err := cpu.RunContext(opt.Ctx, atSeq+20_000)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 // Package harness regenerates the REESE paper's evaluation: one
 // experiment per table and figure (Tables 1-2, Figures 2-7), plus the
 // paper's §6.1 claims, the fault-injection behaviour of §4.2-4.3, and
-// the ablations DESIGN.md §7 calls out.
+// the ablations DESIGN.md §8 calls out.
 //
 // Each experiment runs the six Table 2 workloads on a set of machine
 // variants and renders the same rows/series the paper reports. Runs are
@@ -95,6 +95,16 @@ func (f *FigureResult) Average(variant string) float64 {
 		xs = append(xs, f.IPC[w][variant])
 	}
 	return stats.Mean(xs)
+}
+
+// result returns the workload's result on the labelled variant.
+func (f *FigureResult) result(workload, variant string) pipeline.Result {
+	for _, c := range f.Cells {
+		if c.Workload == workload && c.Variant == variant {
+			return c.Result
+		}
+	}
+	return pipeline.Result{}
 }
 
 // GapPercent returns how far variant's average IPC falls below the
@@ -193,8 +203,8 @@ func spareSet(base config.Machine) []variant {
 }
 
 // grid is one figure's cell set: every Table 2 workload on every
-// variant. No two grids below share a cell, so a sweep simulates each
-// cell once by running each grid once.
+// variant. Grids run together may share cells; runGrids simulates each
+// distinct (workload, machine) cell once.
 type grid struct {
 	id, title string
 	variants  []variant
@@ -248,16 +258,24 @@ var (
 // runGrids simulates every cell of every grid in one pass over the
 // worker pool and assembles one FigureResult per grid. A caller wanting
 // several figures asks for them together, so no worker idles at a
-// barrier between figures.
+// barrier between figures. A (workload, machine) cell that several
+// grids share is simulated once and reported in each of them.
 func runGrids(grids []grid, opt Options) ([]*FigureResult, error) {
 	opt = opt.normalize()
 	names := workload.Names()
-	type job struct {
-		fig int
+	type cell struct {
 		w   string
-		v   variant
+		cfg config.Machine
 	}
-	var jobs []job
+	type job struct {
+		fig, cell int
+		w, label  string
+	}
+	var (
+		jobs  []job
+		cells []cell
+		index = make(map[cell]int)
+	)
 	figs := make([]*FigureResult, len(grids))
 	for gi, g := range grids {
 		fig := &FigureResult{
@@ -272,18 +290,23 @@ func runGrids(grids []grid, opt Options) ([]*FigureResult, error) {
 		for _, w := range names {
 			fig.IPC[w] = make(map[string]float64, len(g.variants))
 			for _, v := range g.variants {
-				jobs = append(jobs, job{gi, w, v})
+				c := cell{w, v.cfg}
+				if _, ok := index[c]; !ok {
+					index[c] = len(cells)
+					cells = append(cells, c)
+				}
+				jobs = append(jobs, job{gi, index[c], w, v.label})
 			}
 		}
 		figs[gi] = fig
 	}
-	// Workers write into per-job slots; the figures are assembled in job
+	// Workers write into per-cell slots; the figures are assembled in job
 	// order afterwards so the result is independent of scheduling.
-	results := make([]pipeline.Result, len(jobs))
-	err := forEach(len(jobs), opt.Parallel, func(i int) error {
-		res, err := runOne(jobs[i].v.cfg, jobs[i].w, opt)
+	results := make([]pipeline.Result, len(cells))
+	err := forEach(len(cells), opt.Parallel, func(i int) error {
+		res, err := runOne(cells[i].cfg, cells[i].w, opt)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", jobs[i].w, jobs[i].v.label, err)
+			return fmt.Errorf("%s/%s: %w", cells[i].w, cells[i].cfg.Name, err)
 		}
 		results[i] = res
 		return nil
@@ -291,10 +314,10 @@ func runGrids(grids []grid, opt Options) ([]*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range jobs {
+	for _, j := range jobs {
 		fig := figs[j.fig]
-		fig.IPC[j.w][j.v.label] = results[i].IPC
-		fig.Cells = append(fig.Cells, Cell{Workload: j.w, Variant: j.v.label, Result: results[i]})
+		fig.IPC[j.w][j.label] = results[j.cell].IPC
+		fig.Cells = append(fig.Cells, Cell{Workload: j.w, Variant: j.label, Result: results[j.cell]})
 	}
 	for _, fig := range figs {
 		sort.Slice(fig.Cells, func(i, k int) bool {
@@ -316,39 +339,49 @@ func runGrid(g grid, opt Options) (*FigureResult, error) {
 	return figs[0], nil
 }
 
+// runOne simulates cfg fault-free on one workload for opt.Insts
+// committed instructions.
 func runOne(cfg config.Machine, workloadName string, opt Options) (pipeline.Result, error) {
-	// Some callers reach runOne without Options.normalize.
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Bail before building anything if the experiment is already
-	// cancelled — this is what lets a cancelled grid stop scheduling its
-	// remaining cells.
-	if err := ctx.Err(); err != nil {
+	cpu, err := newCPU(cfg, workloadName, 0, fault.None{}, opt)
+	if err != nil {
 		return pipeline.Result{}, err
+	}
+	return cpu.RunContext(opt.Ctx, opt.Insts)
+}
+
+// newCPU builds the named workload and a cfg machine running it under
+// inj, reporting its commits to opt.Progress. The program runs scale ×
+// the workload's DefaultIters outer iterations; scale 0 sizes it for
+// opt instead (opt.Iters, or comfortably past opt.Insts). opt must be
+// normalized: the caller runs the CPU with RunContext(opt.Ctx, ...).
+func newCPU(cfg config.Machine, workloadName string, scale int, inj fault.Injector, opt Options) (*pipeline.CPU, error) {
+	// Bail before building anything on a cancelled experiment, so it
+	// stops scheduling its remaining runs.
+	if err := opt.Ctx.Err(); err != nil {
+		return nil, err
 	}
 	spec, ok := workload.ByName(workloadName)
 	if !ok {
-		return pipeline.Result{}, fmt.Errorf("unknown workload %q", workloadName)
+		return nil, fmt.Errorf("unknown workload %q", workloadName)
 	}
-	iters := opt.Iters
+	iters := spec.DefaultIters * scale
+	if scale == 0 {
+		iters = opt.Iters
+	}
 	if iters == 0 {
-		// Size the program comfortably past the instruction budget
-		// (DefaultIters yields roughly 150-400k dynamic instructions).
-		scale := int(opt.Insts/150_000) + 2
-		iters = spec.DefaultIters * scale
+		// DefaultIters yields roughly 150-400k dynamic instructions.
+		iters = spec.DefaultIters * (int(opt.Insts/150_000) + 2)
 	}
 	prog, err := spec.Build(iters)
 	if err != nil {
-		return pipeline.Result{}, err
+		return nil, err
 	}
-	cpu, err := pipeline.New(cfg, prog, fault.None{})
+	cpu, err := pipeline.New(cfg, prog, inj)
 	if err != nil {
-		return pipeline.Result{}, err
+		return nil, err
 	}
 	cpu.SetProgress(opt.Progress)
-	return cpu.RunContext(ctx, opt.Insts)
+	return cpu, nil
 }
 
 // Figure2 regenerates the paper's Figure 2: REESE versus baseline on the

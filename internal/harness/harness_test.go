@@ -280,7 +280,7 @@ func TestPartialReexecSweep(t *testing.T) {
 }
 
 func TestRunGridRejectsUnknownWorkload(t *testing.T) {
-	_, err := runOne(config.Starting(), "nonesuch", testOptions())
+	_, err := runOne(config.Starting(), "nonesuch", testOptions().normalize())
 	if err == nil {
 		t.Error("unknown workload should fail")
 	}
