@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench-all bench-ab bench-module-test trace figures faults faults-smoke faults-mem-smoke triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
+.PHONY: all build test test-race vet bench-all bench-ab bench-module-test trace figures faults faults-smoke faults-mem-smoke splice-check triage-smoke claims serve chaos fuzz cluster-smoke cluster-chaos-smoke load clean
 
 all: build test
 
@@ -72,6 +72,21 @@ faults:
 # no in-sphere fault hangs the machine (see DESIGN §13).
 faults-smoke:
 	$(GO) run ./cmd/reese-faults -smoke
+
+# Splice soundness sweep: all six programs on both machines, seeds 1
+# and 2, 300 trials per campaign, with default structures. Per-trial
+# JSONL at the default checkpoint interval must be byte-identical to a
+# from-scratch run (an interval longer than any program, so no trial
+# forks past its prefix or splices its suffix). About 30 s on 2 vCPUs.
+splice-check:
+	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/reese-faults" ./cmd/reese-faults; \
+	for seed in 1 2; do \
+		"$$d/reese-faults" -n 300 -seed $$seed -jsonl "$$d/splice.jsonl" > /dev/null; \
+		"$$d/reese-faults" -n 300 -seed $$seed -checkpoint-interval 1048576 -jsonl "$$d/scratch.jsonl" > /dev/null; \
+		cmp "$$d/splice.jsonl" "$$d/scratch.jsonl"; \
+		echo "splice-check seed $$seed: $$(wc -l < "$$d/splice.jsonl") trials identical to from-scratch"; \
+	done
 
 # Memory-hierarchy gate: a 200-injection campaign over pipeline and
 # memory structures on an ECC-L2 machine running the PRBS memory

@@ -45,20 +45,6 @@ func (r *ReadSet) OrInto(dst *ReadSet) {
 	}
 }
 
-// Clone returns an independent copy.
-func (r *ReadSet) Clone() *ReadSet {
-	return &ReadSet{bits: append([]uint64(nil), r.bits...)}
-}
-
-// Count returns the number of marked entries.
-func (r *ReadSet) Count() int {
-	n := 0
-	for _, w := range r.bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // ReadLogger is implemented by predictors that can log which
 // pattern-table entries their predictions consult and compare state
 // restricted to such a set. Predictors without the capability are

@@ -16,14 +16,15 @@ package harness
 //     provably precedes its injection point and simulates only the
 //     suffix.
 //   - At every later golden commit boundary the trial is compared
-//     against the golden machine under sequence/cycle normalization
-//     (pipeline.CPU.ConvergedWith). Once converged, the rest of the run
-//     is spliced from the golden result instead of simulated: final
-//     digests are reconstructed by folding the trial's divergent shadow
-//     state with the golden suffix, and the cycle count is the golden
-//     total shifted by the trial's boundary offset. Trials that never
-//     reconverge (SDC, hangs) simply keep simulating — the fallback is
-//     always sound.
+//     against the golden machine under sequence/cycle normalization,
+//     on what the golden suffix observes (pipeline.Checkpoint.Converged
+//     with the boundary's pipeline.SuffixReads). Once converged, the
+//     rest of the run is spliced from the golden result instead of
+//     simulated: final digests are reconstructed by folding the
+//     trial's divergent shadow state with the golden suffix, and the
+//     cycle count is the golden total shifted by the trial's boundary
+//     offset. Trials that never reconverge (SDC, hangs) simply keep
+//     simulating — the fallback is always sound.
 //
 // Everything here preserves the engine's core contract: equal specs
 // produce byte-identical reports at any parallelism, and every
@@ -36,8 +37,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"reese/internal/bpred"
 
 	"reese/internal/config"
 	"reese/internal/emu"
@@ -139,13 +138,13 @@ type campaignBundle struct {
 	// value the golden suffix determines regardless of a trial's shadow
 	// state at the boundary.
 	written [][2]uint32
-	// predReads[i] is the set of branch-predictor pattern-table entries
-	// the golden run consults at or after checkpoints[i]; convergence at
-	// a boundary compares only those entries (recovery replay retrains
-	// the tables, so exact equality would reject trials over counters
-	// that are never read again). Nil when the predictor cannot log
-	// reads.
-	predReads []*bpred.ReadSet
+	// reads[i] is what the golden run observes at or after
+	// checkpoints[i]: the predictor entries it consults and the cache
+	// and TLB sets it misses in and lines it hits. Convergence at a
+	// boundary compares only that (recovery replay retrains tables and
+	// refills cache sets, so exact equality would reject trials over
+	// state that is never read again).
+	reads []*pipeline.SuffixReads
 
 	finalRes    pipeline.Result
 	finalCommit emu.Digest
@@ -217,15 +216,11 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 	memory.ClearDirty()
 	b.checkpoints = append(b.checkpoints, cpu.Snapshot(img))
 
-	// Per-interval predictor read logs; reverse-accumulated into suffix
-	// masks below. predEntries is 0 for predictors that cannot log.
-	predEntries := cpu.PredReadEntries()
-	var intervals []*bpred.ReadSet
-	var curReads *bpred.ReadSet
-	if predEntries > 0 {
-		curReads = bpred.NewReadSet(predEntries)
-		cpu.SetPredReadLog(curReads)
-	}
+	// Per-interval read logs (reads[j] covers checkpoint j to j+1, the
+	// last one runs to halt); unioned backwards into suffix read-sets
+	// below.
+	reads := []*pipeline.SuffixReads{cpu.NewSuffixReads()}
+	cpu.SetSuffixReads(reads[0])
 
 	interval := spec.CheckpointInterval
 	var hookMarks []uint64
@@ -237,11 +232,8 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 		memory.ClearDirty()
 		img = next
 		b.checkpoints = append(b.checkpoints, c.Snapshot(img))
-		if curReads != nil {
-			intervals = append(intervals, curReads)
-			curReads = bpred.NewReadSet(predEntries)
-			cpu.SetPredReadLog(curReads)
-		}
+		reads = append(reads, c.NewSuffixReads())
+		c.SetSuffixReads(reads[len(reads)-1])
 		return false
 	})
 
@@ -266,23 +258,16 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 		b.marks = append(b.marks, ck.Committed)
 	}
 
-	// predReads[i]: pattern-table entries consulted at or after
-	// checkpoints[i], by reverse union of the interval logs (intervals[j]
-	// covers checkpoint j to j+1; the tail after the last checkpoint is
-	// appended here).
-	if curReads != nil {
-		cpu.SetPredReadLog(nil)
-		intervals = append(intervals, curReads)
-		if len(intervals) != len(b.checkpoints) {
-			return nil, fmt.Errorf("harness: %d predictor read intervals for %d checkpoints", len(intervals), len(b.checkpoints))
-		}
-		b.predReads = make([]*bpred.ReadSet, len(b.checkpoints))
-		acc := bpred.NewReadSet(predEntries)
-		for i := len(intervals) - 1; i >= 0; i-- {
-			intervals[i].OrInto(acc)
-			b.predReads[i] = acc.Clone()
-		}
+	// reads[i]: everything observed at or after checkpoints[i], by
+	// reverse union of the interval logs in place.
+	cpu.SetSuffixReads(nil)
+	if len(reads) != len(b.checkpoints) {
+		return nil, fmt.Errorf("harness: %d read intervals for %d checkpoints", len(reads), len(b.checkpoints))
 	}
+	for i := len(reads) - 2; i >= 0; i-- {
+		reads[i+1].OrInto(reads[i])
+	}
+	b.reads = reads
 
 	// written[i]: registers the golden run writes at instruction index
 	// >= checkpoints[i].Committed, by one backward scan over the
@@ -501,11 +486,7 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 			return false
 		}
 		ck := b.checkpoints[bi]
-		var reads *bpred.ReadSet
-		if b.predReads != nil {
-			reads = b.predReads[bi]
-		}
-		if !ck.StateConvergedMasked(c, reads) {
+		if !ck.Converged(c, b.reads[bi]) {
 			return false
 		}
 		if !w.memConverged(fork.Mem, ck.Mem) {
@@ -536,6 +517,7 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 	}
 
 	t.Fired = inj.Fired()
+	t.spliced = splicedAt >= 0
 	t.outcome = classify(res, commit, oracle, b.g.digest)
 	// Carried for the triage pass: the exact digests classification saw
 	// (spliced when the trial spliced) verify a replay byte for byte, the
@@ -605,7 +587,7 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 //     trial's boundary hash (commit order and values match the golden
 //     suffix exactly once converged — only the prefix hash can differ);
 //   - output, halt state, and counts are the golden finals (the oracle
-//     comparison behind StateConverged requires the boundary output to
+//     comparison behind Converged requires the boundary output to
 //     match byte-for-byte).
 func (b *campaignBundle) spliceCommitDigest(bi int, boundary emu.Digest) emu.Digest {
 	out := b.finalCommit

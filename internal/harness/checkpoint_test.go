@@ -147,7 +147,8 @@ func TestMemFaultTrialsInvariantToCheckpointInterval(t *testing.T) {
 		Seed:       0xD00D,
 		Structures: []fault.Struct{
 			fault.StructMemWord, fault.StructL1DTag, fault.StructL1DDirty,
-			fault.StructL1DData, fault.StructL2Line, fault.StructDTLB,
+			fault.StructL1DData, fault.StructL1ITag, fault.StructL2Line,
+			fault.StructITLB, fault.StructDTLB,
 		},
 	}
 	render := func(interval uint64) (string, *CampaignReport) {
@@ -180,6 +181,74 @@ func TestMemFaultTrialsInvariantToCheckpointInterval(t *testing.T) {
 		jsonl, _ := render(interval)
 		if jsonl != refJSONL {
 			t.Errorf("mem-fault JSONL differs between interval %d and from-scratch", interval)
+		}
+	}
+}
+
+// TestSpliceMatchesScratchAllPrograms is the wide soundness net for
+// suffix splicing: on every program and both machines, with the
+// default structure mix, per-trial JSONL at the default checkpoint
+// interval must equal a from-scratch run's (an interval past the end
+// of the program leaves nothing to fork from or splice into).
+func TestSpliceMatchesScratchAllPrograms(t *testing.T) {
+	jsonl := func(interval uint64) string {
+		base := CampaignSpec{
+			Machine:            config.Starting(),
+			Injections:         60,
+			Seed:               0x5EED,
+			CheckpointInterval: interval,
+		}
+		_, reps, err := CampaignAll(base, func(spec CampaignSpec) (*CampaignReport, error) {
+			return Campaign(spec, Options{})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for i := range reps {
+			if err := reps[i].WriteJSONL(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.String()
+	}
+	if jsonl(0) != jsonl(1<<20) {
+		t.Error("per-trial JSONL differs between the default interval and from-scratch")
+	}
+}
+
+// TestCacheAndTLBTrialsSplice pins the splice rate of cache-tag,
+// dirty-bit and TLB faults, whose masked trials reconverge with the
+// golden run except for state its suffix never observes (a residue in
+// a set it never misses in again, a flipped tag in a way it never
+// reads). Every byte-identity test stays green if splicing silently
+// falls back to full simulation; this one does not.
+func TestCacheAndTLBTrialsSplice(t *testing.T) {
+	for _, m := range []config.Machine{config.Starting().WithReese(), config.Starting()} {
+		rep, err := Campaign(CampaignSpec{
+			Workload:   "gcc",
+			Machine:    m,
+			Injections: 250,
+			Seed:       0x5A1CE,
+			Structures: []fault.Struct{
+				fault.StructL1DTag, fault.StructL1DDirty, fault.StructL1ITag,
+				fault.StructITLB, fault.StructDTLB,
+			},
+		}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		masked, spliced := 0, 0
+		for _, tr := range rep.Trials {
+			if tr.Fired && tr.outcome == fault.OutcomeMasked {
+				masked++
+				if tr.spliced {
+					spliced++
+				}
+			}
+		}
+		if masked == 0 || spliced*5 < masked*4 {
+			t.Errorf("%s: %d of %d fired, masked cache/TLB trials spliced, want >= 80%%", m.Name, spliced, masked)
 		}
 	}
 }

@@ -188,7 +188,9 @@ type Trial struct {
 	// Replay-verification state for the triage pass (checkpoint.go fills
 	// these; never serialized): the digests classification saw, the hang
 	// loop period, the final-memory diff extent, and the cycle the fault
-	// fired.
+	// fired. spliced records that the trial reconverged with the golden
+	// run and took its suffix instead of simulating it.
+	spliced    bool
 	commitDig  emu.Digest
 	oracleDig  emu.Digest
 	hangPeriod uint64

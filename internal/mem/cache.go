@@ -101,6 +101,10 @@ type Cache struct {
 	// fault record a campaign trial may leave on this cache.
 	plane WordPlane
 	frec  faultRec
+
+	// log, when non-nil, records the sets accesses miss in and the
+	// lines they hit (readlog.go).
+	log *ReadLog
 }
 
 var _ Level = (*Cache)(nil)
@@ -161,6 +165,9 @@ func (c *Cache) Access(addr uint32, isWrite bool) int {
 		ln := &c.lines[base+i]
 		if ln.valid && ln.tag == tag {
 			c.stats.Hits++
+			if c.log != nil {
+				c.log.hit.set(base + i)
+			}
 			ln.lru = c.clock
 			if isWrite {
 				ln.dirty = true
@@ -171,6 +178,9 @@ func (c *Cache) Access(addr uint32, isWrite bool) int {
 
 	// Miss: fill an empty way if one exists, else evict the LRU line.
 	c.stats.Misses++
+	if c.log != nil {
+		c.log.missed.set(set)
+	}
 	victim := &c.lines[base]
 	victimIdx := base
 	for i := uint32(1); i < c.cfg.Assoc && victim.valid; i++ {

@@ -1,8 +1,8 @@
 package mem
 
-// Snapshot/fork support: deep copies of the timing hierarchy and the
-// rank-normalized state comparison fork-based fault replay uses to
-// decide that a trial machine has reconverged with the golden run.
+// Snapshot/fork support: deep copies of the timing hierarchy. The
+// state comparison fork-based fault replay uses to decide that a trial
+// machine has reconverged with the golden run is in readlog.go.
 
 // CloneInto deep-copies the cache into dst (allocating when dst is nil),
 // rewiring the copy's next level to next. dst's line slice is reused
@@ -17,6 +17,7 @@ func (c *Cache) CloneInto(dst *Cache, next Level) *Cache {
 	dst.lines = append(lines[:0], c.lines...)
 	dst.frec.snap = append(snap[:0], c.frec.snap...)
 	dst.next = next
+	dst.log = nil // logging does not survive a fork
 	return dst
 }
 
@@ -28,6 +29,7 @@ func (t *TLB) CloneInto(dst *TLB) *TLB {
 	lines := dst.lines
 	*dst = *t
 	dst.lines = append(lines[:0], t.lines...)
+	dst.log = nil
 	return dst
 }
 
@@ -51,107 +53,6 @@ func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
 	dst.ITLB = h.ITLB.CloneInto(dst.ITLB)
 	dst.DTLB = h.DTLB.CloneInto(dst.DTLB)
 	return dst
-}
-
-// linesEqualRanked compares two line arrays of the same geometry for
-// future-equivalent state: tags, valid and dirty bits must match
-// exactly, while recency is compared by per-set rank order rather than
-// raw lru clock values. Two machines whose accesses touched a set in
-// the same relative order — but at different absolute clocks, e.g.
-// because one replayed a few instructions after a fault recovery — hit,
-// miss, and evict identically from here on, which is all forked-trial
-// convergence needs.
-func linesEqualRanked(a, b []line, assoc uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for j := range a {
-		if a[j].valid != b[j].valid {
-			return false
-		}
-		if a[j].valid && (a[j].tag != b[j].tag || a[j].dirty != b[j].dirty) {
-			return false
-		}
-	}
-	n := uint32(len(a))
-	for base := uint32(0); base < n; base += assoc {
-		for i := uint32(0); i < assoc; i++ {
-			j := base + i
-			if !a[j].valid {
-				continue
-			}
-			var ra, rb int
-			for k := uint32(0); k < assoc; k++ {
-				jk := base + k
-				if a[jk].valid && a[jk].lru < a[j].lru {
-					ra++
-				}
-				if b[jk].valid && b[jk].lru < b[j].lru {
-					rb++
-				}
-			}
-			if ra != rb {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// StateEqualRanked reports whether two same-configured caches behave
-// identically from here on (statistics counters are deliberately not
-// part of the comparison — they record the past, not the future).
-func (c *Cache) StateEqualRanked(o *Cache) bool {
-	if c.cfg != o.cfg {
-		return false
-	}
-	if !faultRecEqual(c.frec, o.frec) {
-		return false
-	}
-	return linesEqualRanked(c.lines, o.lines, c.cfg.Assoc)
-}
-
-// faultRecEqual compares injection residue. A cache carrying an armed
-// (or pending) record can still mutate the architectural plane at a
-// future eviction, so it is never future-equivalent to a clean golden
-// cache — this is what keeps forked-trial splicing from landing before
-// a memory fault has settled.
-func faultRecEqual(a, b faultRec) bool {
-	if a.kind != b.kind || a.pending != b.pending {
-		return false
-	}
-	if a.kind == frNone {
-		return true
-	}
-	if a.idx != b.idx || a.set != b.set || a.origTag != b.origTag ||
-		a.waddr != b.waddr || a.wmask != b.wmask || a.wflip != b.wflip ||
-		len(a.snap) != len(b.snap) {
-		return false
-	}
-	for i := range a.snap {
-		if a.snap[i] != b.snap[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// StateEqualRanked reports whether two same-configured TLBs behave
-// identically from here on.
-func (t *TLB) StateEqualRanked(o *TLB) bool {
-	if t.cfg != o.cfg {
-		return false
-	}
-	return linesEqualRanked(t.lines, o.lines, t.cfg.Assoc)
-}
-
-// StateEqualRanked compares every level of two hierarchies.
-func (h *Hierarchy) StateEqualRanked(o *Hierarchy) bool {
-	return h.L1I.StateEqualRanked(o.L1I) &&
-		h.L1D.StateEqualRanked(o.L1D) &&
-		h.L2.StateEqualRanked(o.L2) &&
-		h.ITLB.StateEqualRanked(o.ITLB) &&
-		h.DTLB.StateEqualRanked(o.DTLB)
 }
 
 // ExtrapolateStats advances the cache counters as if the machine

@@ -250,16 +250,16 @@ func TestCloneDeepCopiesFaultRec(t *testing.T) {
 	mm := NewMainMemory(10)
 	cp := c.CloneInto(nil, mm)
 	cp.SetWordPlane(p)
-	if !c.StateEqualRanked(cp) {
+	if !c.StateEqualOn(cp, nil) {
 		t.Fatal("clone should be state-equal to its source")
 	}
 	// Mutating the source snapshot must not leak into the clone.
 	c.frec.snap[0] ^= 0xFFFF
-	if c.StateEqualRanked(cp) {
+	if c.StateEqualOn(cp, nil) {
 		t.Error("snapshot mutation should break state equality (deep copy)")
 	}
 	c.frec.snap[0] ^= 0xFFFF
-	if !c.StateEqualRanked(cp) {
+	if !c.StateEqualOn(cp, nil) {
 		t.Fatal("reverting the mutation should restore equality")
 	}
 	// The clone settles independently of the source.
@@ -282,13 +282,13 @@ func TestFaultRecBlocksStateEqualRanked(t *testing.T) {
 	b.SetWordPlane(p)
 	a.Access(0, false)
 	b.Access(0, false)
-	if !a.StateEqualRanked(b) {
+	if !a.StateEqualOn(b, nil) {
 		t.Fatal("identical access streams should be state-equal")
 	}
 	if fired, _, _ := a.InjectDataFlip(4, 2); !fired {
 		t.Fatal("flip did not fire")
 	}
-	if a.StateEqualRanked(b) {
+	if a.StateEqualOn(b, nil) {
 		t.Error("armed residue must block state equality")
 	}
 	// Pending (never-fired) lost-write-back records block equality too.
@@ -297,7 +297,7 @@ func TestFaultRecBlocksStateEqualRanked(t *testing.T) {
 	cB.Access(0, false)
 	cC.Access(0, false)
 	cB.InjectDirtyClear(0, false)
-	if cB.StateEqualRanked(cC) {
+	if cB.StateEqualOn(cC, nil) {
 		t.Error("pending lost-write-back record must block state equality")
 	}
 }

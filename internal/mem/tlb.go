@@ -38,6 +38,7 @@ type TLB struct {
 	lines []line
 	clock uint64
 	stats CacheStats
+	log   *ReadLog // see Cache.log
 }
 
 // NewTLB builds a TLB.
@@ -65,11 +66,17 @@ func (t *TLB) Translate(addr uint32) int {
 		ln := &t.lines[base+i]
 		if ln.valid && ln.tag == tag {
 			t.stats.Hits++
+			if t.log != nil {
+				t.log.hit.set(base + i)
+			}
 			ln.lru = t.clock
 			return 0
 		}
 	}
 	t.stats.Misses++
+	if t.log != nil {
+		t.log.missed.set(set)
+	}
 	victim := &t.lines[base]
 	for i := uint32(1); i < t.cfg.Assoc && victim.valid; i++ {
 		ln := &t.lines[base+i]

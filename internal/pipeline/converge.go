@@ -1,19 +1,69 @@
 package pipeline
 
 // Convergence detection for checkpoint/fork fault replay (snapshot.go):
-// ConvergedWith decides whether a forked trial has returned to the
-// golden run's state at a commit boundary (so the rest of the run can
-// be spliced from the golden result instead of simulated), and the hang
-// fast-forward proves a wedged machine repeats a finite cycle of states
-// forever and jumps straight to the watchdog threshold.
+// Checkpoint.Converged decides whether a forked trial has returned to
+// the golden run's state at a commit boundary (so the rest of the run
+// can be spliced from the golden result instead of simulated), and the
+// hang fast-forward proves a wedged machine repeats a finite cycle of
+// states forever and jumps straight to the watchdog threshold.
 
 import (
 	"bytes"
 
 	"reese/internal/bpred"
 	"reese/internal/emu"
+	"reese/internal/mem"
 	"reese/internal/ruu"
 )
+
+// SuffixReads records what a stretch of execution observes of the
+// machine's history-dependent tables, so that convergence can ignore
+// state nothing will ever read again: the branch-predictor
+// pattern-table entries its predictions consult (bpred.ReadSet; nil
+// when the predictor cannot log reads) and, per cache and TLB, the
+// sets its accesses miss in and the lines they hit (mem.HierReads).
+// The golden instrumented run records one per checkpoint interval and
+// unions them backwards, so each checkpoint's set covers everything
+// the golden run does from that checkpoint to halt. Soundness
+// arguments: bpred/readset.go and mem/readlog.go.
+type SuffixReads struct {
+	pred *bpred.ReadSet
+	hier *mem.HierReads
+}
+
+// NewSuffixReads returns an empty read-set sized for this machine.
+func (c *CPU) NewSuffixReads() *SuffixReads {
+	r := &SuffixReads{hier: c.hier.NewReads()}
+	if rl, ok := c.pred.(bpred.ReadLogger); ok {
+		r.pred = bpred.NewReadSet(rl.NumEntries())
+	}
+	return r
+}
+
+// SetSuffixReads installs r as the set the machine's predictor, caches
+// and TLBs record what they observe in (nil stops logging). r must
+// come from this machine's NewSuffixReads. Clones and forks never
+// carry the log over.
+func (c *CPU) SetSuffixReads(r *SuffixReads) {
+	var pred *bpred.ReadSet
+	var hier *mem.HierReads
+	if r != nil {
+		pred, hier = r.pred, r.hier
+	}
+	if rl, ok := c.pred.(bpred.ReadLogger); ok {
+		rl.SetReadLog(pred)
+	}
+	c.hier.SetReadLog(hier)
+}
+
+// OrInto unions r into dst (both from the same machine's
+// NewSuffixReads).
+func (r *SuffixReads) OrInto(dst *SuffixReads) {
+	if r.pred != nil {
+		r.pred.OrInto(dst.pred)
+	}
+	r.hier.OrInto(dst.hier)
+}
 
 // hangProbeMin is the commit-drought depth at which periodicity probing
 // starts; the probe is refreshed at every power-of-two depth after it,
@@ -51,30 +101,29 @@ func oracleEqual(a, b *emu.Machine) bool {
 	return bytes.Equal(a.Output(), b.Output())
 }
 
-// ConvergedWith reports whether this machine's microarchitectural and
+// convergedAt reports whether this machine's microarchitectural and
 // oracle state matches g's under sequence/time normalization — i.e.
 // whether both machines provably behave identically from their
 // respective "now" onward. Shadow commit state (registers, store
 // digest) is deliberately excluded: it is output-only, and splicing
-// folds it separately. Statistics counters are excluded likewise.
+// folds it separately. Statistics counters are excluded likewise, and
+// so is memory, which callers must establish separately.
 //
-// Memory is NOT compared here; callers must establish it separately.
-func (c *CPU) ConvergedWith(g *CPU) bool { return c.convergedAt(g, 0, nil) }
-
-// convergedAt is ConvergedWith with two refinements. droughtDelta is an
-// expected commit-drought skew: c's distance into its current no-commit
-// stretch must exceed g's by exactly that much. Boundary splicing uses
-// 0 (both machines must hang at the same relative time, or not at all);
-// the hang probe uses the candidate period p, because it compares a
-// machine against its own state p cycles earlier, mid-drought.
+// droughtDelta is an expected commit-drought skew: c's distance into
+// its current no-commit stretch must exceed g's by exactly that much.
+// Boundary splicing uses 0 (both machines must hang at the same
+// relative time, or not at all); the hang probe uses the candidate
+// period p, because it compares a machine against its own state p
+// cycles earlier, mid-drought.
 //
-// predReads, when non-nil, bounds the branch-predictor comparison to
-// the pattern-table entries the golden suffix is known to consult
-// (bpred.ReadSet; see readset.go for the soundness argument). Recovery
-// replay retrains the tables, so exact equality would reject most
-// recovered trials over counters that are never read again. A nil set —
-// or a predictor that cannot log reads — compares exactly.
-func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet) bool {
+// reads, when non-nil, is what g's future is known to observe (the
+// golden suffix's SuffixReads), and bounds the predictor, cache and
+// TLB comparisons to it. Recovery replay retrains pattern tables and
+// refills or reorders cache sets, so exact equality would reject most
+// trials over state that is never read again. A nil set — the hang
+// probe's, whose future is unknown — compares every entry and every
+// set.
+func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, reads *SuffixReads) bool {
 	// A stuck-unit fault makes past unit assignments behaviorally
 	// relevant (they are excluded from the entry comparison), so refuse
 	// outright.
@@ -142,6 +191,11 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet)
 		return false
 	}
 	// Predictors and timing structures.
+	var predReads *bpred.ReadSet
+	var hierReads *mem.HierReads
+	if reads != nil {
+		predReads, hierReads = reads.pred, reads.hier
+	}
 	if rl, ok := c.pred.(bpred.ReadLogger); predReads != nil && ok {
 		if !rl.StateEqualOn(g.pred, predReads) {
 			return false
@@ -152,7 +206,7 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, predReads *bpred.ReadSet)
 	if !c.btb.StateEqualRanked(g.btb) || !c.ras.StateEqual(g.ras) {
 		return false
 	}
-	if !c.hier.StateEqualRanked(g.hier) {
+	if !c.hier.StateEqualOn(g.hier, hierReads) {
 		return false
 	}
 	if !c.pool.StateEqualAt(g.pool, c.cycle, g.cycle) {

@@ -11,7 +11,6 @@ package pipeline
 import (
 	"fmt"
 
-	"reese/internal/bpred"
 	"reese/internal/fault"
 	"reese/internal/mem"
 	"reese/internal/program"
@@ -68,40 +67,15 @@ func (ck *Checkpoint) ForkEligible(seq uint64) bool {
 	return ck.ICount <= seq && ck.HookHorizon <= seq
 }
 
-// StateConverged reports whether a live machine has reconverged with
-// the golden state this checkpoint captured (see CPU.ConvergedWith).
-// Memory is excluded: the campaign compares the live machine's memory
-// page-wise against ck.Mem separately.
-func (ck *Checkpoint) StateConverged(c *CPU) bool { return c.ConvergedWith(ck.cpu) }
-
-// StateConvergedMasked is StateConverged with the branch-predictor
-// comparison bounded to the pattern-table entries the golden suffix
-// after this checkpoint is known to consult (see bpred.ReadSet and the
-// soundness argument in bpred/readset.go). A nil set, or a predictor
-// that cannot log reads, compares exactly.
-func (ck *Checkpoint) StateConvergedMasked(c *CPU, predReads *bpred.ReadSet) bool {
-	return c.convergedAt(ck.cpu, 0, predReads)
-}
-
-// PredReadEntries returns the branch predictor's pattern-table size —
-// what a bpred.ReadSet must cover — or 0 when the predictor cannot log
-// reads (no masked comparison available).
-func (c *CPU) PredReadEntries() int {
-	if rl, ok := c.pred.(bpred.ReadLogger); ok {
-		return rl.NumEntries()
-	}
-	return 0
-}
-
-// SetPredReadLog installs the read-set the branch predictor marks
-// consulted pattern-table entries in (nil stops logging). The golden
-// instrumented run swaps per-interval sets at each checkpoint boundary
-// to build the suffix masks StateConvergedMasked consumes. A no-op for
-// predictors that cannot log reads.
-func (c *CPU) SetPredReadLog(rs *bpred.ReadSet) {
-	if rl, ok := c.pred.(bpred.ReadLogger); ok {
-		rl.SetReadLog(rs)
-	}
+// Converged reports whether a live machine has reconverged with the
+// golden state this checkpoint captured: whether both provably behave
+// identically from their respective "now" onward, judged on what the
+// golden suffix after the checkpoint observes (reads, which
+// CPU.SetSuffixReads recorded; see SuffixReads). Memory is excluded:
+// the campaign compares the live machine's memory page-wise against
+// ck.Mem separately.
+func (ck *Checkpoint) Converged(c *CPU, reads *SuffixReads) bool {
+	return c.convergedAt(ck.cpu, 0, reads)
 }
 
 // Fork instantiates a runnable machine from the checkpoint. memory must
