@@ -20,10 +20,12 @@ type Predictor interface {
 	// Clone returns an independent deep copy (used when forking a
 	// machine from a checkpoint).
 	Clone() Predictor
-	// StateEqual reports whether o is the same predictor kind with
-	// identical tables and history — the convergence test fork-based
-	// fault replay relies on.
-	StateEqual(o Predictor) bool
+	// StateEqual reports whether o is the same predictor kind with the
+	// same history and configuration and equal pattern-table entries
+	// wherever rs marks a read — the convergence test fork-based fault
+	// replay relies on. A nil rs compares every entry. Predictors that
+	// log no reads (not ReadLoggers) always compare exactly.
+	StateEqual(o Predictor, rs *ReadSet) bool
 	// Predict returns the predicted direction for the branch at pc.
 	Predict(pc uint32) bool
 	// ShiftHistory advances the speculative global history (no-op for
@@ -173,17 +175,12 @@ func (g *Gshare) Clone() Predictor {
 }
 
 // StateEqual implements Predictor.
-func (g *Gshare) StateEqual(o Predictor) bool {
+func (g *Gshare) StateEqual(o Predictor, rs *ReadSet) bool {
 	og, ok := o.(*Gshare)
 	if !ok || og.history != g.history || og.bits != g.bits || len(og.table) != len(g.table) {
 		return false
 	}
-	for i, v := range g.table {
-		if og.table[i] != v {
-			return false
-		}
-	}
-	return true
+	return countersEqualOn(g.table, og.table, rs)
 }
 
 // Bimodal is a simple PC-indexed table of 2-bit counters.
@@ -252,17 +249,12 @@ func (b *Bimodal) Clone() Predictor {
 }
 
 // StateEqual implements Predictor.
-func (b *Bimodal) StateEqual(o Predictor) bool {
+func (b *Bimodal) StateEqual(o Predictor, rs *ReadSet) bool {
 	ob, ok := o.(*Bimodal)
 	if !ok || ob.bits != b.bits || len(ob.table) != len(b.table) {
 		return false
 	}
-	for i, v := range b.table {
-		if ob.table[i] != v {
-			return false
-		}
-	}
-	return true
+	return countersEqualOn(b.table, ob.table, rs)
 }
 
 // Static predicts a fixed direction (taken models "backward taken" well
@@ -295,8 +287,8 @@ func (s *Static) Update(pc uint32, taken bool) {}
 // Clone implements Predictor (stateless: a value copy suffices).
 func (s *Static) Clone() Predictor { cp := *s; return &cp }
 
-// StateEqual implements Predictor.
-func (s *Static) StateEqual(o Predictor) bool {
+// StateEqual implements Predictor (no tables: rs is ignored).
+func (s *Static) StateEqual(o Predictor, _ *ReadSet) bool {
 	os, ok := o.(*Static)
 	return ok && os.Taken == s.Taken
 }
@@ -405,16 +397,13 @@ func (c *Combining) Clone() Predictor {
 	return &cp
 }
 
-// StateEqual implements Predictor.
-func (c *Combining) StateEqual(o Predictor) bool {
+// StateEqual implements Predictor. A combining predictor logs no
+// reads, so rs is ignored and every table compares exactly.
+func (c *Combining) StateEqual(o Predictor, _ *ReadSet) bool {
 	oc, ok := o.(*Combining)
 	if !ok || len(oc.chooser) != len(c.chooser) {
 		return false
 	}
-	for i, v := range c.chooser {
-		if oc.chooser[i] != v {
-			return false
-		}
-	}
-	return c.p1.StateEqual(oc.p1) && c.p2.StateEqual(oc.p2)
+	return countersEqualOn(c.chooser, oc.chooser, nil) &&
+		c.p1.StateEqual(oc.p1, nil) && c.p2.StateEqual(oc.p2, nil)
 }

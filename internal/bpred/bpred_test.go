@@ -309,3 +309,52 @@ func TestHistoryFreeSnapshotRestore(t *testing.T) {
 	}
 	s.Restore(1)
 }
+
+// StateEqual has one nil rule for every predictor: a nil read-set
+// compares every pattern-table entry, a non-nil one only the entries
+// it marks (history still compares exactly), and predictors that log
+// no reads ignore the set.
+func TestStateEqualReadSet(t *testing.T) {
+	g1, _ := NewGshare(6)
+	b1, _ := NewBimodal(6)
+	for _, p := range []Predictor{g1, b1} {
+		rl := p.(ReadLogger)
+		rs := NewReadSet(rl.NumEntries())
+		rs.set(3)
+		q := p.Clone()
+		if !p.StateEqual(q, nil) || !p.StateEqual(q, rs) {
+			t.Fatalf("%s: clone not equal", p.Name())
+		}
+		// Diverge an entry the read-set does not mark.
+		switch v := q.(type) {
+		case *Gshare:
+			v.table[5] ^= 1
+		case *Bimodal:
+			v.table[5] ^= 1
+		}
+		if p.StateEqual(q, nil) {
+			t.Errorf("%s: nil read-set missed an unread entry", p.Name())
+		}
+		if !p.StateEqual(q, rs) {
+			t.Errorf("%s: read-set compared an entry it does not mark", p.Name())
+		}
+		rs.set(5)
+		if p.StateEqual(q, rs) {
+			t.Errorf("%s: read-set missed a marked entry", p.Name())
+		}
+	}
+	// History stays exact under any read-set.
+	g2 := g1.Clone()
+	g2.ShiftHistory(true)
+	if g1.StateEqual(g2, NewReadSet(g1.NumEntries())) {
+		t.Error("gshare: history difference hidden by an empty read-set")
+	}
+	// A combining predictor logs no reads, so a read-set cannot hide a
+	// component difference.
+	c1, _ := NewCombining(g1.Clone(), b1.Clone(), 4)
+	c2 := c1.Clone()
+	c2.(*Combining).p1.(*Gshare).table[7] ^= 1
+	if c1.StateEqual(c2, NewReadSet(g1.NumEntries())) {
+		t.Error("combining: read-set hid a component difference")
+	}
+}

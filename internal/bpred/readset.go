@@ -46,18 +46,15 @@ func (r *ReadSet) OrInto(dst *ReadSet) {
 }
 
 // ReadLogger is implemented by predictors that can log which
-// pattern-table entries their predictions consult and compare state
-// restricted to such a set. Predictors without the capability are
-// compared exactly by the convergence test.
+// pattern-table entries their predictions consult; StateEqual then
+// takes such a set to restrict its table comparison. Predictors
+// without the capability always compare exactly.
 type ReadLogger interface {
 	// NumEntries returns the pattern-table size a ReadSet must cover.
 	NumEntries() int
 	// SetReadLog installs the set Predict marks consulted entries in
 	// (nil stops logging).
 	SetReadLog(rs *ReadSet)
-	// StateEqualOn is StateEqual restricted to the entries marked in rs;
-	// history and configuration still compare exactly.
-	StateEqualOn(o Predictor, rs *ReadSet) bool
 }
 
 var _ ReadLogger = (*Gshare)(nil)
@@ -69,39 +66,28 @@ func (g *Gshare) NumEntries() int { return len(g.table) }
 // SetReadLog implements ReadLogger.
 func (g *Gshare) SetReadLog(rs *ReadSet) { g.readLog = rs }
 
-// StateEqualOn implements ReadLogger.
-func (g *Gshare) StateEqualOn(o Predictor, rs *ReadSet) bool {
-	og, ok := o.(*Gshare)
-	if !ok || og.history != g.history || og.bits != g.bits || len(og.table) != len(g.table) {
-		return false
-	}
-	for wi, w := range rs.bits {
-		for ; w != 0; w &= w - 1 {
-			i := uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
-			if g.table[i] != og.table[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // NumEntries implements ReadLogger.
 func (b *Bimodal) NumEntries() int { return len(b.table) }
 
 // SetReadLog implements ReadLogger.
 func (b *Bimodal) SetReadLog(rs *ReadSet) { b.readLog = rs }
 
-// StateEqualOn implements ReadLogger.
-func (b *Bimodal) StateEqualOn(o Predictor, rs *ReadSet) bool {
-	ob, ok := o.(*Bimodal)
-	if !ok || ob.bits != b.bits || len(ob.table) != len(b.table) {
-		return false
+// countersEqualOn reports whether two equal-length tables hold the
+// same counters at every entry rs marks, or at every entry when rs is
+// nil.
+func countersEqualOn(a, b []counter, rs *ReadSet) bool {
+	if rs == nil {
+		for i, v := range a {
+			if b[i] != v {
+				return false
+			}
+		}
+		return true
 	}
 	for wi, w := range rs.bits {
 		for ; w != 0; w &= w - 1 {
 			i := uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
-			if b.table[i] != ob.table[i] {
+			if a[i] != b[i] {
 				return false
 			}
 		}

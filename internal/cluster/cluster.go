@@ -821,22 +821,23 @@ func (c *coordinator) adoptResult(idx int, v *server.JobView, url string, assign
 	}
 	// End-to-end integrity: the worker stamped the sha256 of the
 	// canonical payload before it left the process; recompute it here and
-	// refuse anything that was damaged in transit. A mismatch is a
-	// retryable transport error — the shard re-fetches (the worker's
-	// result cache answers instantly) — never a silent merge of corrupt
-	// tallies. Payloads from pre-digest workers (empty field) pass.
-	if p.Digest != "" {
-		got, err := p.CanonicalDigest()
-		if err != nil {
-			return fmt.Errorf("shard %d: digest payload: %w", idx, err)
+	// refuse anything that was damaged in transit or arrived unstamped. A
+	// mismatch is a retryable transport error — the shard re-fetches (the
+	// worker's result cache answers instantly) — never a silent merge of
+	// corrupt or unverified tallies.
+	got, err := p.CanonicalDigest()
+	if err != nil {
+		return fmt.Errorf("shard %d: digest payload: %w", idx, err)
+	}
+	if got != p.Digest {
+		if c.cfg.Metrics != nil {
+			c.cfg.Metrics.ShardCorrupted()
 		}
-		if got != p.Digest {
-			if c.cfg.Metrics != nil {
-				c.cfg.Metrics.ShardCorrupted()
-			}
-			c.emit(Event{Type: "corrupted", Shard: idx, Worker: url})
-			return fmt.Errorf("shard %d: payload integrity failure: body hashes to %.12s, worker stamped %.12s (damaged in transit)", idx, got, p.Digest)
+		c.emit(Event{Type: "corrupted", Shard: idx, Worker: url})
+		if p.Digest == "" {
+			return fmt.Errorf("shard %d: payload carries no integrity digest", idx)
 		}
+		return fmt.Errorf("shard %d: payload integrity failure: body hashes to %.12s, worker stamped %.12s (damaged in transit)", idx, got, p.Digest)
 	}
 	c.complete(idx, &p, url, assigned)
 	return nil

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -113,15 +114,16 @@ func TestClusterCancelPromptlyDuringBackoff(t *testing.T) {
 	}
 }
 
-// corruptingTransport flips one bit inside the first response that
-// carries a digest-stamped shard payload, then passes everything else
-// through untouched — the deterministic version of in-flight damage.
-type corruptingTransport struct {
-	mu   sync.Mutex
-	done bool
+// rewriteOnceTransport passes every response body through rewrite
+// until one call reports a change, then passes everything through
+// untouched — the deterministic version of in-flight damage.
+type rewriteOnceTransport struct {
+	mu      sync.Mutex
+	done    bool
+	rewrite func(body []byte) ([]byte, bool)
 }
 
-func (c *corruptingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (c *rewriteOnceTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return resp, err
@@ -132,11 +134,8 @@ func (c *corruptingTransport) RoundTrip(req *http.Request) (*http.Response, erro
 		return nil, err
 	}
 	c.mu.Lock()
-	if !c.done && bytes.Contains(body, []byte(`"digest"`)) {
-		if i := bytes.Index(body, []byte(`"injected"`)); i >= 0 {
-			body[i+1] ^= 0x01 // "injected" -> "hnjected": valid JSON, wrong content
-			c.done = true
-		}
+	if !c.done {
+		body, c.done = c.rewrite(body)
 	}
 	c.mu.Unlock()
 	resp.Body = io.NopCloser(bytes.NewReader(body))
@@ -145,10 +144,36 @@ func (c *corruptingTransport) RoundTrip(req *http.Request) (*http.Response, erro
 	return resp, nil
 }
 
-// A payload damaged in flight must be caught by the sha256 check,
-// counted, and re-fetched — never merged. The worker's result cache
-// answers the retry, so the final report is still byte-identical.
-func TestClusterCorruptPayloadRefetched(t *testing.T) {
+// flipInjected flips one bit inside the first digest-stamped shard
+// payload: "injected" -> "hnjected", valid JSON with wrong content.
+func flipInjected(body []byte) ([]byte, bool) {
+	if bytes.Contains(body, []byte(`"digest"`)) {
+		if i := bytes.Index(body, []byte(`"injected"`)); i >= 0 {
+			body[i+1] ^= 0x01
+			return body, true
+		}
+	}
+	return body, false
+}
+
+// stampedDigest matches a shard payload's sha256 stamp.
+var stampedDigest = regexp.MustCompile(`"digest":\s*"[0-9a-f]{64}"`)
+
+// clearDigest blanks the digest of a stamped shard payload, leaving
+// the body otherwise intact.
+func clearDigest(body []byte) ([]byte, bool) {
+	if !stampedDigest.Match(body) {
+		return body, false
+	}
+	return stampedDigest.ReplaceAllLiteral(body, []byte(`"digest":""`)), true
+}
+
+// refetchedCampaign runs a 20-injection li campaign through one worker
+// behind tr and checks the damaged payload was counted as corrupted,
+// announced by a corrupted event, and re-fetched: the final report is
+// byte-identical to the single-process one.
+func refetchedCampaign(t *testing.T, tr http.RoundTripper) {
+	t.Helper()
 	machine := config.Starting().WithReese()
 	single, err := harness.Campaign(harness.CampaignSpec{
 		Workload: "li", Machine: machine, Injections: 20, Seed: 5,
@@ -158,12 +183,11 @@ func TestClusterCorruptPayloadRefetched(t *testing.T) {
 	}
 	wantJSON, _ := json.Marshal(stripWall(single))
 
-	ct := &corruptingTransport{}
 	hooks := &hookRecorder{}
 	var corruptedEvents int
 	var mu sync.Mutex
 	cfg := testClusterConfig(newWorkers(t, 1))
-	cfg.Client = &http.Client{Transport: ct, Timeout: 30 * time.Second}
+	cfg.Client = &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	cfg.Metrics = hooks
 	cfg.OnEvent = func(ev Event) {
 		if ev.Type == "corrupted" {
@@ -180,7 +204,7 @@ func TestClusterCorruptPayloadRefetched(t *testing.T) {
 	}
 	h := hooks.snapshot()
 	if h.corrupted == 0 {
-		t.Fatal("bit-flipped payload was not counted as corrupted — it merged silently or the flip missed")
+		t.Fatal("damaged payload was not counted as corrupted — it merged silently or the damage missed")
 	}
 	mu.Lock()
 	if corruptedEvents == 0 {
@@ -189,8 +213,22 @@ func TestClusterCorruptPayloadRefetched(t *testing.T) {
 	mu.Unlock()
 	gotJSON, _ := json.Marshal(stripWall(rep))
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("report after in-flight corruption differs from single-process:\n got %s\nwant %s", gotJSON, wantJSON)
+		t.Errorf("report after in-flight damage differs from single-process:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
+}
+
+// A payload damaged in flight must be caught by the sha256 check,
+// counted, and re-fetched — never merged. The worker's result cache
+// answers the retry, so the final report is still byte-identical.
+func TestClusterCorruptPayloadRefetched(t *testing.T) {
+	refetchedCampaign(t, &rewriteOnceTransport{rewrite: flipInjected})
+}
+
+// A done shard whose payload carries no digest cannot be verified, so
+// it is refused exactly like a mismatch: counted as corrupted and
+// re-fetched, never merged.
+func TestClusterUndigestedPayloadRefetched(t *testing.T) {
+	refetchedCampaign(t, &rewriteOnceTransport{rewrite: clearDigest})
 }
 
 // partitionTransport fails every request to one host while engaged.

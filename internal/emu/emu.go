@@ -101,24 +101,16 @@ func (m *Machine) StoreHash() uint64 { return m.storeHash }
 // StoreCount returns the number of stores executed.
 func (m *Machine) StoreCount() uint64 { return m.storeCount }
 
-// Clone returns a deep copy of the machine's architectural state that
-// reads and writes through memory instead of the original's image. The
-// caller supplies memory because machine forking shares page-granular
-// memory snapshots separately from the scalar state (see
+// CloneInto deep-copies the machine's architectural state into dst
+// (allocating when dst is nil, reusing dst's allocations otherwise),
+// reading and writing through memory instead of the original's image.
+// The caller supplies memory because machine forking shares
+// page-granular memory snapshots separately from the scalar state (see
 // pipeline.Checkpoint); program and decode tables are immutable and
 // stay shared.
-func (m *Machine) Clone(memory *program.Memory) *Machine {
-	cp := *m
-	cp.mem = memory
-	cp.output = append([]byte(nil), m.output...)
-	return &cp
-}
-
-// CloneInto is Clone reusing dst's allocations when possible. A nil dst
-// allocates fresh.
 func (m *Machine) CloneInto(dst *Machine, memory *program.Memory) *Machine {
 	if dst == nil {
-		return m.Clone(memory)
+		dst = new(Machine)
 	}
 	out := dst.output
 	*dst = *m

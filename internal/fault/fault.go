@@ -531,56 +531,6 @@ func (a *AtSeq) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
 // Fired reports whether the fault has been injected.
 func (a *AtSeq) Fired() bool { return a.fired }
 
-// Window injects exactly one fault at a sequence number drawn uniformly
-// from [Lo, Hi) by a seeded PRNG, with the bit position drawn from the
-// same stream. Campaigns sweeping the paper's §4.2 commit-phase windows
-// build one Window per trial: the same seed always picks the same
-// (seq, bit), so trials are reproducible, and the fired latch means a
-// replayed sequence number (REESE recovery re-fetches the faulted
-// region) never re-injects.
-type Window struct {
-	Lo, Hi uint64
-	Bit    uint8
-	Struct Struct
-
-	seq   uint64
-	fired bool
-}
-
-// NewWindow builds a Window over [lo, hi) (hi must exceed lo) seeded
-// with seed (0 is replaced with a fixed constant, as NewRandom).
-func NewWindow(lo, hi, seed uint64) *Window {
-	if hi <= lo {
-		hi = lo + 1
-	}
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	r := &Random{state: seed}
-	v := r.next()
-	return &Window{
-		Lo:  lo,
-		Hi:  hi,
-		Bit: uint8(r.next()>>32) % 32,
-		seq: lo + v%(hi-lo),
-	}
-}
-
-// Seq returns the chosen injection sequence number.
-func (w *Window) Seq() uint64 { return w.seq }
-
-// Fired reports whether the fault has been injected.
-func (w *Window) Fired() bool { return w.fired }
-
-// Decide implements Injector.
-func (w *Window) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
-	if w.fired || seq != w.seq {
-		return Injection{}, false
-	}
-	w.fired = true
-	return Injection{Bit: w.Bit % 32, Struct: w.Struct}, true
-}
-
 // Periodic injects a fault every Interval instructions, cycling through
 // bit positions. It drives fault-injection campaigns.
 type Periodic struct {

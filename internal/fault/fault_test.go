@@ -40,54 +40,6 @@ func TestAtSeqFiresExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestWindowFiresExactlyOnceInsideWindow(t *testing.T) {
-	for seed := uint64(1); seed <= 50; seed++ {
-		w := NewWindow(1000, 2000, seed)
-		if w.Seq() < 1000 || w.Seq() >= 2000 {
-			t.Fatalf("seed %d: chose seq %d outside [1000,2000)", seed, w.Seq())
-		}
-		fired := 0
-		for i := uint64(0); i < 3000; i++ {
-			if inj, ok := w.Decide(i, emu.Trace{}); ok {
-				fired++
-				if i != w.Seq() {
-					t.Errorf("seed %d: fired at %d, chose %d", seed, i, w.Seq())
-				}
-				if inj.Bit > 31 {
-					t.Errorf("seed %d: bit %d out of range", seed, inj.Bit)
-				}
-			}
-		}
-		if fired != 1 || !w.Fired() {
-			t.Fatalf("seed %d: fired %d times", seed, fired)
-		}
-		// A replay of the chosen sequence number (recovery re-fetch) must
-		// not re-inject.
-		if _, ok := w.Decide(w.Seq(), emu.Trace{}); ok {
-			t.Fatalf("seed %d: re-fired on replayed seq", seed)
-		}
-	}
-}
-
-func TestWindowDeterministicAndSpread(t *testing.T) {
-	if a, b := NewWindow(0, 1<<20, 7), NewWindow(0, 1<<20, 7); a.Seq() != b.Seq() || a.Bit != b.Bit {
-		t.Error("same seed must choose the same (seq, bit)")
-	}
-	// Different seeds should not collapse onto one target.
-	seen := map[uint64]bool{}
-	for seed := uint64(1); seed <= 32; seed++ {
-		seen[NewWindow(0, 1<<20, seed).Seq()] = true
-	}
-	if len(seen) < 16 {
-		t.Errorf("32 seeds chose only %d distinct sequence numbers", len(seen))
-	}
-	// Degenerate window still behaves.
-	w := NewWindow(5, 5, 3)
-	if w.Seq() != 5 {
-		t.Errorf("empty window chose %d, want clamped 5", w.Seq())
-	}
-}
-
 func TestPeriodic(t *testing.T) {
 	p := &Periodic{Interval: 10, Start: 5}
 	var fires []uint64

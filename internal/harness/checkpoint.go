@@ -42,7 +42,6 @@ import (
 	"reese/internal/emu"
 	"reese/internal/fault"
 	"reese/internal/mem"
-	"reese/internal/obs"
 	"reese/internal/pipeline"
 	"reese/internal/program"
 	"reese/internal/workload"
@@ -54,20 +53,11 @@ import (
 // snapshot cost and memory; 512 keeps both small at campaign scale.
 const DefaultCheckpointInterval = 512
 
-// storeRec is one architectural store of the golden run, in commit
-// order — the suffix material for splicing a trial's store digest.
-type storeRec struct {
-	addr, width, value uint32
-}
-
-// destNone marks a dynamic instruction that writes no register.
-const destNone = 0xFF
-
 // emuGoldenCache memoizes the emulator-plane golden scan per
-// (workload, target): the digest, victim-eligibility lists, store
-// trace, and per-instruction destination registers are pure functions
-// of those two keys and are shared by every campaign — REESE and
-// baseline machines alike.
+// (workload, target): the digest, victim-eligibility lists and the
+// per-instruction golden record are pure functions of those two keys
+// and are shared by every campaign — REESE and baseline machines
+// alike.
 var emuGoldenCache sync.Map // emuGoldenKey -> *emuGoldenEntry
 
 type emuGoldenKey struct {
@@ -162,17 +152,10 @@ type campaignBundle struct {
 	// into a recycled CPU reuses its slice allocations, and the memory
 	// image is restored by page diffing instead of a full 8 MiB copy.
 	workers sync.Pool
-
-	// locks recycles lockstep golden emulators for the triage pass
-	// (triage.go). lockSnaps (built on first use) holds detached golden
-	// emulator scalars at every checkpoint boundary, so a replay's
-	// lockstep golden starts at the fork — no per-escape fast-forward
-	// from instruction zero — with its memory page-diffed from the
-	// checkpoint image like any trial worker.
-	locks     sync.Pool
-	lockOnce  sync.Once
-	lockSnaps []*emu.Machine
-	lockErr   error
+	// recorders recycles triage flight-recorder rings (triage.go):
+	// Reset reuses the backing array instead of zeroing a fresh ring
+	// per escape.
+	recorders sync.Pool
 }
 
 // bundleForSpec builds (or returns the memoized) campaign bundle for a
@@ -271,7 +254,7 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 
 	// written[i]: registers the golden run writes at instruction index
 	// >= checkpoints[i].Committed, by one backward scan over the
-	// per-instruction destination records.
+	// golden record's destination registers.
 	b.written = make([][2]uint32, len(b.checkpoints))
 	var intM, fpM uint32
 	bi := len(b.checkpoints) - 1
@@ -280,11 +263,11 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 			b.written[bi] = [2]uint32{intM, fpM}
 			bi--
 		}
-		if r := g.destReg[idx]; r != destNone {
-			if g.destFP[idx] {
-				fpM |= 1 << (r & 31)
+		if gi := &g.insts[idx]; gi.dest != destNone {
+			if gi.destFP {
+				fpM |= 1 << (gi.dest & 31)
 			} else {
-				intM |= 1 << (r & 31)
+				intM |= 1 << (gi.dest & 31)
 			}
 		}
 	}
@@ -320,9 +303,7 @@ func (b *campaignBundle) boundaryIndex(committed uint64) (int, bool) {
 }
 
 // campaignWorker is one recycled trial executor: a fork-destination CPU
-// and a memory image restored by page diffing between trials. The
-// bundle's locks pool recycles the same type for triage lockstep
-// goldens, filling lock instead of cpu.
+// and a memory image restored by page diffing between trials.
 type campaignWorker struct {
 	cpu *pipeline.CPU
 	mem *program.Memory
@@ -331,10 +312,6 @@ type campaignWorker struct {
 	// previous trial dirtied are invalidated, so adoption copies only
 	// pages that actually differ from the wanted image.
 	prov []*byte
-	// lock is the recycled lockstep golden emulator (locks pool only).
-	lock *emu.Machine
-	// rec is the recycled triage flight-recorder ring (locks pool only).
-	rec *obs.Recorder
 }
 
 // adopt restores the worker's memory to the checkpoint image, copying
@@ -601,8 +578,9 @@ func (b *campaignBundle) spliceCommitDigest(bi int, boundary emu.Digest) emu.Dig
 		}
 	}
 	h := boundary.StoreHash
-	for _, s := range b.g.storeRecs[b.checkpoints[bi].StoreCount:] {
-		h = emu.MixStore(h, s.addr, s.width, s.value)
+	for _, k := range b.g.stores[b.checkpoints[bi].StoreCount:] {
+		s := &b.g.insts[k]
+		h = emu.MixStore(h, s.addr, uint32(s.width), s.storeValue)
 	}
 	out.StoreHash = h
 	return out

@@ -442,38 +442,49 @@ func (r *CampaignReport) LevelsTable() string {
 }
 
 // golden is the uninjected reference execution: its final architectural
-// digest plus the eligibility lists trial sampling draws victims from,
-// plus the commit-order records checkpoint splicing folds with
-// (checkpoint.go).
+// digest, the per-instruction record every later stage reads, and the
+// eligibility lists trial sampling draws victims from.
 type golden struct {
 	digest emu.Digest
 	total  uint64
+	// insts is the golden commit stream, one entry per dynamic
+	// instruction in program order: trial planning takes strike
+	// addresses from it, checkpoint splicing folds its stores and
+	// destination registers (checkpoint.go), and triage checks every
+	// replayed retire against it (triage.go).
+	insts []goldenInst
 	// observable lists dynamic instruction indices the comparator has an
 	// outcome for; mems/stores the memory and store subsets.
 	observable []uint64
 	mems       []uint64
 	stores     []uint64
-	// storeRecs is every architectural store in commit order; destReg/
-	// destFP record each dynamic instruction's destination register
-	// (destNone = no write) — the raw material for splicing a trial's
-	// final digest from a reconvergence boundary.
-	storeRecs []storeRec
-	destReg   []uint8
-	destFP    []bool
-	// memAddrs is parallel to mems: the effective address of each
-	// memory access, the strike address for memory-hierarchy faults
-	// sampled over data accesses. pcs records every dynamic
-	// instruction's fetch PC (the strike address for I-side faults,
-	// which sample the whole stream). out is the golden program output
-	// (the localization pass parses PRBS self-check records out of it).
-	memAddrs []uint32
-	pcs      []uint32
-	out      []byte
+	// out is the golden program output (the localization pass parses
+	// PRBS self-check records out of it).
+	out []byte
 	// blockStores maps each lostWBGranule-aligned block address to the
 	// dynamic indices of its first and last store — the snapshot point
 	// and fire gate for dirty-bit (lost write-back) faults.
 	blockStores map[uint32][2]uint64
 }
+
+// goldenInst is one dynamic instruction of the golden run.
+type goldenInst struct {
+	// pc is the fetch PC (the strike address for I-side faults, which
+	// sample the whole stream); result the destination-register value.
+	pc, result uint32
+	// addr and width are a memory access's effective address (the
+	// strike address for data-side memory-hierarchy faults) and byte
+	// width; storeValue is a store's raw value.
+	addr, storeValue uint32
+	width            uint8
+	// dest is the destination register, in the FP file when destFP;
+	// destNone when the instruction writes no register or only r0.
+	dest   uint8
+	destFP bool
+}
+
+// destNone marks a dynamic instruction that writes no register.
+const destNone = 0xFF
 
 // lostWBGranule is the block granularity dirty-bit faults are planned
 // at; it matches the 32-byte L1D lines every shipped configuration
@@ -494,8 +505,8 @@ func (g *golden) victimsFor(st fault.Struct) (victims []uint64, sampled bool) {
 	case fault.StructMemWord, fault.StructL1DTag, fault.StructL1DData,
 		fault.StructL2Line, fault.StructDTLB:
 		// Data-side memory-hierarchy faults strike the address of a
-		// sampled memory access (the parallel memAddrs list carries the
-		// address itself).
+		// sampled memory access (planTrial reads the address from the
+		// golden record).
 		return g.mems, true
 	case fault.StructL1DDirty:
 		// A dirty-bit fault needs a line a store has dirtied.
@@ -506,7 +517,8 @@ func (g *golden) victimsFor(st fault.Struct) (victims []uint64, sampled bool) {
 
 // goldenScan sizes the program (growing the workload's iteration count
 // until the golden run commits at least target instructions) and runs
-// it once on the emulator, recording digest and eligibility.
+// it once on the emulator, recording the digest, the per-instruction
+// golden record and the eligibility lists.
 func goldenScan(spec workload.Spec, target uint64) (*golden, *program.Program, error) {
 	limit := 4*target + 200_000
 	iters := 1
@@ -530,17 +542,22 @@ func goldenScan(spec workload.Spec, target uint64) (*golden, *program.Program, e
 				return nil, nil, fmt.Errorf("harness: golden run of %s: %w", spec.Name, err)
 			}
 			op := tr.Inst.Op
-			g.pcs = append(g.pcs, tr.PC)
+			gi := goldenInst{
+				pc: tr.PC, result: tr.Result,
+				addr: tr.Addr, storeValue: tr.StoreValue, width: uint8(tr.MemWidth),
+				dest: destNone,
+			}
+			if r, isFP, ok := tr.DestReg(); ok && (isFP || r != 0) {
+				gi.dest, gi.destFP = uint8(r), isFP
+			}
 			if fault.ComparatorObserves(tr) {
 				g.observable = append(g.observable, seq)
 			}
 			if op.IsMem() {
 				g.mems = append(g.mems, seq)
-				g.memAddrs = append(g.memAddrs, tr.Addr)
 			}
 			if op.IsStore() {
 				g.stores = append(g.stores, seq)
-				g.storeRecs = append(g.storeRecs, storeRec{tr.Addr, tr.MemWidth, tr.StoreValue})
 				block := tr.Addr &^ (lostWBGranule - 1)
 				if g.blockStores == nil {
 					g.blockStores = make(map[uint32][2]uint64)
@@ -551,12 +568,7 @@ func goldenScan(spec workload.Spec, target uint64) (*golden, *program.Program, e
 					g.blockStores[block] = [2]uint64{seq, seq}
 				}
 			}
-			dest, fp := uint8(destNone), false
-			if r, isFP, ok := tr.DestReg(); ok && (isFP || r != 0) {
-				dest, fp = uint8(r), isFP
-			}
-			g.destReg = append(g.destReg, dest)
-			g.destFP = append(g.destFP, fp)
+			g.insts = append(g.insts, gi)
 		}
 		g.digest = m.Digest()
 		g.total = m.InstCount()
@@ -662,11 +674,11 @@ func planTrial(seed uint64, i int, structures []fault.Struct, g *golden) Trial {
 		switch st {
 		case fault.StructMemWord, fault.StructL1DTag, fault.StructL1DData,
 			fault.StructL2Line, fault.StructDTLB:
-			addr = g.memAddrs[k]
+			addr = g.insts[seq].addr
 		case fault.StructL1DDirty:
 			// Arm at the block's first store (the snapshot then predates
 			// every store to the block) and fire after its last.
-			addr = g.storeRecs[k].addr
+			addr = g.insts[seq].addr
 			fl := g.blockStores[addr&^(lostWBGranule-1)]
 			seq, seq2 = fl[0], fl[1]
 		}
@@ -674,7 +686,7 @@ func planTrial(seed uint64, i int, structures []fault.Struct, g *golden) Trial {
 		seq = rng.next() % g.total
 		switch st {
 		case fault.StructL1ITag, fault.StructITLB:
-			addr = g.pcs[seq]
+			addr = g.insts[seq].pc
 		}
 	}
 	// L2 lines carry SECDED check bits: the bit draw spans 0..63, where

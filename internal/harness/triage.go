@@ -15,12 +15,12 @@ package harness
 //     context and freezes shortly after the fault fires, so the Perfetto
 //     trace shows the corruption being planted instead of the tail of
 //     the run;
-//   - a lockstep golden emulator driven from the commit watch
-//     (pipeline.CPU.SetCommitWatch): every architectural retire is
-//     compared in program order against an independent emu.Machine, and
-//     the first mismatch — register value, store address/value, or fetch
-//     PC — is the first divergent commit, stamped into the trace as a
-//     DIVERGENCE marker;
+//   - a lockstep check against the golden record driven from the commit
+//     watch (pipeline.CPU.SetCommitWatch): every architectural retire is
+//     compared, at its program-order index, with the golden scan's
+//     record of that instruction (golden.insts), and the first mismatch
+//     — register value, store address/value, or fetch PC — is the first
+//     divergent commit, stamped into the trace as a DIVERGENCE marker;
 //   - the Brent hang probe's detected loop period
 //     (pipeline.Result.HangPeriod) for hangs.
 //
@@ -34,10 +34,12 @@ package harness
 // reproduction: same outcome, cycle count, and digests. A replay that
 // disagrees either way is reported rather than trusted.
 //
-// The lockstep emulator is deliberately independent of the pipeline's
-// own oracle: oracle-site faults (regfile, fetch-pc) and memory-plane
-// faults corrupt the oracle itself, so "compare against the oracle"
-// would compare corrupted state against corrupted state and see nothing.
+// The golden record is deliberately independent of the pipeline's own
+// oracle: it comes from a separate, fault-free emulator pass
+// (goldenScan), whereas oracle-site faults (regfile, fetch-pc) and
+// memory-plane faults corrupt the trial's oracle itself, so "compare
+// against the oracle" would compare corrupted state against corrupted
+// state and see nothing.
 
 import (
 	"bytes"
@@ -150,49 +152,6 @@ type TriageRecord struct {
 	Trace []byte `json:"-"`
 }
 
-// getLock returns a recycled lockstep golden emulator positioned at
-// checkpoint bi: scalars cloned from the bundle's per-checkpoint golden
-// snapshots (built once, lazily, by a single emulator pass over the
-// program), memory page-diffed from the checkpoint image exactly like a
-// trial worker's. No per-escape memory load, no fast-forward from
-// instruction zero.
-func (b *campaignBundle) getLock(bi int) (*campaignWorker, error) {
-	b.lockOnce.Do(func() {
-		m, err := emu.New(b.prog)
-		if err != nil {
-			b.lockErr = err
-			return
-		}
-		snaps := make([]*emu.Machine, len(b.checkpoints))
-		for i, ck := range b.checkpoints {
-			if n := ck.Committed - m.InstCount(); n > 0 {
-				if _, err := m.Run(n); err != nil {
-					b.lockErr = fmt.Errorf("harness: golden emulator snapshot at %d insts: %w", ck.Committed, err)
-					return
-				}
-			}
-			if m.InstCount() != ck.Committed {
-				b.lockErr = fmt.Errorf("harness: golden emulator stopped at %d insts, checkpoint at %d", m.InstCount(), ck.Committed)
-				return
-			}
-			snaps[i] = m.Clone(nil) // detached: scalars only, memory comes from the checkpoint image
-		}
-		b.lockSnaps = snaps
-	})
-	if b.lockErr != nil {
-		return nil, b.lockErr
-	}
-	w, _ := b.locks.Get().(*campaignWorker)
-	if w == nil {
-		w = &campaignWorker{}
-	}
-	if err := w.adopt(b.prog, b.checkpoints[bi].Mem); err != nil {
-		return nil, err
-	}
-	w.lock = b.lockSnaps[bi].CloneInto(w.lock, w.mem)
-	return w, nil
-}
-
 // triageWanted reports whether an outcome qualifies for the triage pass.
 func triageWanted(o fault.Outcome, detected bool) bool {
 	switch o {
@@ -215,20 +174,13 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 	rt := *t
 	rt.Triage = nil
 
-	lw, err := b.getLock(b.forkPoint(t.Seq))
-	if err != nil {
-		return err
-	}
-	defer b.locks.Put(lw)
-	lock := lw.lock
-	// The flight-recorder ring rides the pooled worker: Reset reuses the
-	// backing array instead of zeroing a fresh ~400KB ring per escape.
-	if lw.rec == nil {
-		lw.rec = obs.NewRecorder(triageRingCap)
+	rec, _ := b.recorders.Get().(*obs.Recorder)
+	if rec == nil {
+		rec = obs.NewRecorder(triageRingCap)
 	} else {
-		lw.rec.Reset()
+		rec.Reset()
 	}
-	rec := lw.rec
+	defer b.recorders.Put(rec)
 
 	// Non-hang replays stop once attribution is settled: the recorder
 	// window has frozen and the divergence search has either hit or
@@ -242,51 +194,30 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 		cpu      *pipeline.CPU
 		div      *Divergence
 		divCycle uint64
-		lockDead bool // lockstep emulator halted or errored; stop comparing
 	)
 	instrument := func(c *pipeline.CPU) {
 		cpu = c
 		c.SetRecorder(rec)
 		c.SetRecorderWindow(triageWindow)
-		// The lockstep golden was positioned at the fork checkpoint by
-		// getLock; a mismatch here would mean the fork and the snapshot
-		// chain disagree, so stop comparing rather than mis-attribute.
-		if c.Committed() != lock.InstCount() {
-			lockDead = true
-		}
 		c.SetCommitWatch(func(seq, cycle uint64, tr emu.Trace, resultP, addrP, storeValueP uint32) {
 			if stopped {
 				return
 			}
 			if !fullReplay {
 				if fc := cpu.FaultCycle(); fc > 0 && cycle >= fc+triageWindow &&
-					(div != nil || lockDead || cycle >= fc+triageHorizon) {
+					(div != nil || cycle >= fc+triageHorizon) {
 					stopped = true
 					cpu.RequestStop()
 					return
 				}
 			}
-			if div != nil || lockDead {
+			if div != nil {
 				return
 			}
-			gtr, err := lock.Step()
-			if err != nil {
-				// The golden program is over but the replay is still
-				// committing: control flow left the golden path.
-				lockDead = true
-				div = &Divergence{Seq: seq, Kind: "pc", Got: tr.PC}
+			if div = b.g.checkCommit(seq, tr, resultP, addrP, storeValueP); div != nil {
 				divCycle = cycle
 				cpu.MarkDivergence(cycle, seq, tr)
-				return
 			}
-			d := compareCommit(gtr, tr, resultP, addrP, storeValueP)
-			if d == nil {
-				return
-			}
-			d.Seq = seq
-			div = d
-			divCycle = cycle
-			cpu.MarkDivergence(cycle, seq, tr)
 		})
 	}
 
@@ -347,25 +278,31 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 	return nil
 }
 
-// compareCommit checks one architectural retire against the lockstep
-// golden step and returns the divergence, or nil when they agree. The
-// comparison order matches severity: control flow first, then the
-// destination-register value, then the store.
-func compareCommit(gtr, tr emu.Trace, resultP, addrP, storeValueP uint32) *Divergence {
-	if gtr.PC != tr.PC {
-		return &Divergence{Kind: "pc", Golden: gtr.PC, Got: tr.PC}
+// checkCommit checks one architectural retire — the instruction at
+// program-order index seq — against the golden record and returns the
+// divergence, or nil when they agree. The comparison order matches
+// severity: control flow first (a retire past the golden halt left the
+// golden path too), then the destination-register value, then the
+// store.
+func (g *golden) checkCommit(seq uint64, tr emu.Trace, resultP, addrP, storeValueP uint32) *Divergence {
+	if seq >= g.total {
+		return &Divergence{Seq: seq, Kind: "pc", Got: tr.PC}
+	}
+	gi := &g.insts[seq]
+	if gi.pc != tr.PC {
+		return &Divergence{Seq: seq, Kind: "pc", Golden: gi.pc, Got: tr.PC}
 	}
 	if r, isFP, ok := tr.DestReg(); ok && (isFP || r != 0) {
-		if resultP != gtr.Result {
-			return &Divergence{Kind: "register", Reg: uint8(r), Golden: gtr.Result, Got: resultP}
+		if resultP != gi.result {
+			return &Divergence{Seq: seq, Kind: "register", Reg: uint8(r), Golden: gi.result, Got: resultP}
 		}
 	}
 	if tr.Inst.Op.IsStore() {
-		if addrP != gtr.Addr {
-			return &Divergence{Kind: "store", Golden: gtr.Addr, Got: addrP}
+		if addrP != gi.addr {
+			return &Divergence{Seq: seq, Kind: "store", Golden: gi.addr, Got: addrP}
 		}
-		if storeValueP != gtr.StoreValue {
-			return &Divergence{Kind: "store", Golden: gtr.StoreValue, Got: storeValueP}
+		if storeValueP != gi.storeValue {
+			return &Divergence{Seq: seq, Kind: "store", Golden: gi.storeValue, Got: storeValueP}
 		}
 	}
 	return nil

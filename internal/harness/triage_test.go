@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"reese/internal/config"
+	"reese/internal/emu"
 	"reese/internal/fault"
+	"reese/internal/isa"
 )
 
 // triageTestSpec is a small campaign guaranteed to produce escapes:
@@ -148,5 +150,86 @@ func TestTriageLeavesCampaignUnchanged(t *testing.T) {
 	raw, _ := json.Marshal(plain)
 	if bytes.Contains(raw, []byte("triaged")) || bytes.Contains(raw, []byte("diverge")) {
 		t.Errorf("untriaged report JSON leaks triage fields: %s", raw)
+	}
+}
+
+// TestCheckCommit covers every branch of the triage lockstep check
+// against a hand-built golden record, including a retire past the
+// golden halt, which no campaign test is guaranteed to reach.
+func TestCheckCommit(t *testing.T) {
+	g := &golden{
+		total: 4,
+		insts: []goldenInst{
+			{pc: 0x1000, result: 7, dest: 3},
+			{pc: 0x1004, addr: 0x2000, storeValue: 9, width: 4, dest: destNone},
+			{pc: 0x1008, result: 0x3f800000, dest: 2, destFP: true},
+			{pc: 0x100c, dest: destNone}, // writes r0
+		},
+	}
+	add := emu.Trace{PC: 0x1000, Inst: isa.Instruction{Op: isa.OpAdd, Rd: 3}, HasResult: true}
+	sw := emu.Trace{PC: 0x1004, Inst: isa.Instruction{Op: isa.OpSw}}
+	fadd := emu.Trace{PC: 0x1008, Inst: isa.Instruction{Op: isa.OpFadd, Rd: 2}, HasResult: true}
+	addR0 := emu.Trace{PC: 0x100c, Inst: isa.Instruction{Op: isa.OpAdd, Rd: 0}, HasResult: true}
+	wrongPC := add
+	wrongPC.PC = 0x1010
+	cases := []struct {
+		name                       string
+		seq                        uint64
+		tr                         emu.Trace
+		resultP, addrP, storeValue uint32
+		want                       *Divergence
+	}{
+		{"agree-register", 0, add, 7, 0, 0, nil},
+		{"agree-store", 1, sw, 0, 0x2000, 9, nil},
+		{"agree-fp", 2, fadd, 0x3f800000, 0, 0, nil},
+		{"pc", 0, wrongPC, 7, 0, 0, &Divergence{Seq: 0, Kind: "pc", Golden: 0x1000, Got: 0x1010}},
+		{"register-int", 0, add, 8, 0, 0, &Divergence{Seq: 0, Kind: "register", Reg: 3, Golden: 7, Got: 8}},
+		{"register-fp", 2, fadd, 0, 0, 0, &Divergence{Seq: 2, Kind: "register", Reg: 2, Golden: 0x3f800000, Got: 0}},
+		{"r0-skipped", 3, addR0, 123, 0, 0, nil},
+		{"store-addr", 1, sw, 0, 0x2004, 9, &Divergence{Seq: 1, Kind: "store", Golden: 0x2000, Got: 0x2004}},
+		{"store-value", 1, sw, 0, 0x2000, 10, &Divergence{Seq: 1, Kind: "store", Golden: 9, Got: 10}},
+		{"past-golden-halt", 4, addR0, 0, 0, 0, &Divergence{Seq: 4, Kind: "pc", Got: 0x100c}},
+	}
+	for _, c := range cases {
+		got := g.checkCommit(c.seq, c.tr, c.resultP, c.addrP, c.storeValue)
+		switch {
+		case got == nil && c.want == nil:
+		case got == nil || c.want == nil || *got != *c.want:
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestTriageDivergenceNotBeforeVictim holds triage to its contract on a
+// store-heavy program: no escape's first divergent commit may precede
+// the victim instruction. A checkpoint's memory image already holds the
+// stores of instructions fetched but not yet committed at the boundary
+// (the pipeline's oracle runs ahead of retire), so a reference seeded
+// from that image instead of the golden record reads future values and
+// reports spurious divergences before the fault.
+func TestTriageDivergenceNotBeforeVictim(t *testing.T) {
+	rep, err := Campaign(CampaignSpec{
+		Workload:   "gcc",
+		Machine:    config.Starting().WithReese(),
+		Structures: []fault.Struct{fault.StructMemWord},
+		Injections: 40,
+		Seed:       7,
+		Triage:     true,
+	}, Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diverged := 0
+	for _, tr := range rep.Trials {
+		if tr.Triage == nil || tr.Triage.FirstDivergence == nil {
+			continue
+		}
+		diverged++
+		if d := tr.Triage.FirstDivergence; d.Seq < tr.Seq {
+			t.Errorf("trial %d: first %s divergence at seq %d precedes the victim seq %d", tr.Index, d.Kind, d.Seq, tr.Seq)
+		}
+	}
+	if diverged == 0 {
+		t.Fatal("campaign produced no attributed escapes; the check exercised nothing")
 	}
 }

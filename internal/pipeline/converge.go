@@ -196,11 +196,7 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, reads *SuffixReads) bool 
 	if reads != nil {
 		predReads, hierReads = reads.pred, reads.hier
 	}
-	if rl, ok := c.pred.(bpred.ReadLogger); predReads != nil && ok {
-		if !rl.StateEqualOn(g.pred, predReads) {
-			return false
-		}
-	} else if !c.pred.StateEqual(g.pred) {
+	if !c.pred.StateEqual(g.pred, predReads) {
 		return false
 	}
 	if !c.btb.StateEqualRanked(g.btb) || !c.ras.StateEqual(g.ras) {

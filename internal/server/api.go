@@ -373,7 +373,8 @@ type ShardPayload struct {
 	// coordinator recomputes it after decoding; a mismatch means the
 	// body was damaged in flight (bit flip, truncation that still
 	// parses) and the shard is retried rather than merged — corrupt
-	// tallies must never reach the report. See CanonicalDigest.
+	// tallies must never reach the report. A payload without a digest
+	// is refused the same way. See CanonicalDigest.
 	Digest string `json:"digest,omitempty"`
 }
 
