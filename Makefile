@@ -74,18 +74,20 @@ faults-smoke:
 	$(GO) run ./cmd/reese-faults -smoke
 
 # Splice soundness sweep: all six programs on both machines, seeds 1
-# and 2, 300 trials per campaign, with default structures. Per-trial
-# JSONL at the default checkpoint interval must be byte-identical to a
-# from-scratch run (an interval longer than any program, so no trial
-# forks past its prefix or splices its suffix). About 30 s on 2 vCPUs.
+# and 2, plus seed 1 with SECDED on L2 (-ecc, so the corrected and
+# detected l2-line verdicts are compared too), 300 trials per campaign,
+# with default structures. Per-trial JSONL at the default checkpoint
+# interval must be byte-identical to a from-scratch run (an interval
+# longer than any program, so no trial forks past its prefix or splices
+# its suffix). About 70 s on 2 vCPUs.
 splice-check:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/reese-faults" ./cmd/reese-faults; \
-	for seed in 1 2; do \
-		"$$d/reese-faults" -n 300 -seed $$seed -jsonl "$$d/splice.jsonl" > /dev/null; \
-		"$$d/reese-faults" -n 300 -seed $$seed -checkpoint-interval 1048576 -jsonl "$$d/scratch.jsonl" > /dev/null; \
+	for run in "-seed 1" "-seed 2" "-seed 1 -ecc"; do \
+		"$$d/reese-faults" -n 300 $$run -jsonl "$$d/splice.jsonl" > /dev/null; \
+		"$$d/reese-faults" -n 300 $$run -checkpoint-interval 1048576 -jsonl "$$d/scratch.jsonl" > /dev/null; \
 		cmp "$$d/splice.jsonl" "$$d/scratch.jsonl"; \
-		echo "splice-check seed $$seed: $$(wc -l < "$$d/splice.jsonl") trials identical to from-scratch"; \
+		echo "splice-check $$run: $$(wc -l < "$$d/splice.jsonl") trials identical to from-scratch"; \
 	done
 
 # Memory-hierarchy gate: a 200-injection campaign over pipeline and

@@ -71,12 +71,12 @@ func (m *Machine) Digest() Digest {
 }
 
 // CorruptPC XORs mask into the fetch PC — a transient in the
-// sequencer, outside REESE's sphere of replication. Implements
-// fault.ArchState.
+// sequencer, outside REESE's sphere of replication (the fetch-pc fault
+// site).
 func (m *Machine) CorruptPC(mask uint32) { m.pc ^= mask }
 
 // CorruptReg XORs mask into architectural register r. Writes to r0 are
-// discarded, as in hardware. Implements fault.ArchState.
+// discarded, as in hardware (the regfile fault site).
 func (m *Machine) CorruptReg(r uint8, mask uint32) {
 	reg := isa.Reg(r % isa.NumRegs)
 	if reg != isa.RegZero {

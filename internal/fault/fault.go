@@ -11,7 +11,10 @@
 // that boundary is the point of a campaign.
 package fault
 
-import "reese/internal/emu"
+import (
+	"reese/internal/emu"
+	"reese/internal/mem"
+)
 
 // NoBit is the FaultBit value meaning "no fault".
 const NoBit uint8 = 255
@@ -56,8 +59,8 @@ const (
 	StructComparator
 
 	// Memory-hierarchy structures — outside the sphere of replication.
-	// These fire through the MemSiteInjector hook and carry a victim
-	// address (AtStruct.Addr) in addition to the sequence number.
+	// These fire at the oracle-step site and carry a victim address
+	// (AtStruct.Addr) in addition to the sequence number.
 
 	// StructMemWord flips a bit of one architectural main-memory word.
 	StructMemWord
@@ -139,8 +142,7 @@ func (s Struct) NeedsRSQ() bool {
 }
 
 // InMemHierarchy reports whether the structure lives in the memory
-// hierarchy (fires through the MemSiteInjector hook and needs a victim
-// address).
+// hierarchy (fires at the oracle-step site and needs a victim address).
 func (s Struct) InMemHierarchy() bool {
 	switch s {
 	case StructMemWord, StructL1DTag, StructL1DDirty, StructL1DData,
@@ -210,15 +212,6 @@ type Injector interface {
 	Decide(seq uint64, tr emu.Trace) (Injection, bool)
 }
 
-// ArchState is the slice of architectural state an oracle-site fault can
-// corrupt. *emu.Machine implements it.
-type ArchState interface {
-	// CorruptPC XORs mask into the fetch PC.
-	CorruptPC(mask uint32)
-	// CorruptReg XORs mask into register r (r0 stays hardwired to zero).
-	CorruptReg(r uint8, mask uint32)
-}
-
 // RSQCorruption describes a fault landing in an R-stream Queue entry at
 // enqueue time. Masks are XORed into the stored copies; CompIgnoreMask
 // blinds the comparator to those bit lanes (a checker fault). Operand
@@ -241,69 +234,14 @@ type RSQCorruption struct {
 type SiteInjector interface {
 	Injector
 	// OracleStep is called before each oracle instruction executes, with
-	// the oracle's instruction count; a fired fault corrupts architectural
-	// state directly (regfile, fetch PC).
-	OracleStep(icount uint64, arch ArchState) bool
+	// the oracle's instruction count and the machine's retired count; a
+	// fired fault corrupts state outside the sphere of replication
+	// directly: the oracle's registers, fetch PC or memory, or the
+	// timing caches and TLBs of h.
+	OracleStep(icount, committed uint64, m *emu.Machine, h *mem.Hierarchy) bool
 	// RSQEnqueue is called as each instruction's entry is appended to the
 	// R-stream Queue; a fired fault corrupts the stored copies.
 	RSQEnqueue(seq uint64, tr emu.Trace) (RSQCorruption, bool)
-}
-
-// CacheSel selects a cache level for a memory-hierarchy fault.
-type CacheSel uint8
-
-// Cache levels a MemPlane can target.
-const (
-	SelL1I CacheSel = iota
-	SelL1D
-	SelL2
-)
-
-// FlipResult reports what a data-bit flip did at an (optionally
-// ECC-protected) cache level.
-type FlipResult uint8
-
-// DataFlip results.
-const (
-	// FlipNone: the target line is not resident; nothing happened.
-	FlipNone FlipResult = iota
-	// FlipApplied: the bits were flipped in the architectural word.
-	FlipApplied
-	// FlipCorrected: SECDED corrected the single-bit upset in place.
-	FlipCorrected
-	// FlipDetected: SECDED flagged a double-bit upset as detected-
-	// uncorrectable; the flips were applied (the data is lost).
-	FlipDetected
-)
-
-// MemPlane is the memory hierarchy as seen by an injector: the
-// architectural word plane plus the timing caches and TLBs. The
-// pipeline provides an adapter over its hierarchy and oracle memory.
-type MemPlane interface {
-	// CorruptWord XORs mask into the architectural memory word at addr.
-	CorruptWord(addr, mask uint32) bool
-	// TagFlip flips a tag bit of the line holding addr at level l.
-	TagFlip(l CacheSel, addr uint32, bit uint8) bool
-	// DirtyClear arms/fires a lost write-back on the L1D line at addr.
-	// lastSeq is the dynamic index of the block's last golden store; the
-	// clear may only fire after it retires (earlier, the block's own
-	// later stores would re-dirty the line and always mask the upset).
-	DirtyClear(addr uint32, lastSeq uint64) bool
-	// DataFlip flips data bit(s) behind a resident line at level l.
-	DataFlip(l CacheSel, addr uint32, bits uint8) FlipResult
-	// TLBEntryFlip flips a tag bit of the TLB entry covering addr
-	// (data=true for the D-TLB, false for the I-TLB).
-	TLBEntryFlip(data bool, addr uint32, bit uint8) bool
-}
-
-// MemSiteInjector is a SiteInjector that can also fire into the memory
-// hierarchy. The pipeline type-asserts for it once and calls MemStep
-// through a narrow nil-gated hook, like the other sites.
-type MemSiteInjector interface {
-	SiteInjector
-	// MemStep is called before each oracle instruction executes; a fired
-	// fault perturbs the memory hierarchy through mp.
-	MemStep(icount uint64, mp MemPlane) bool
 }
 
 // None never injects. The zero value is ready to use.
@@ -351,7 +289,7 @@ type AtStruct struct {
 	eccDetected  bool
 }
 
-var _ MemSiteInjector = (*AtStruct)(nil)
+var _ SiteInjector = (*AtStruct)(nil)
 
 // Fired reports whether the fault has been injected.
 func (a *AtStruct) Fired() bool { return a.fired }
@@ -397,25 +335,58 @@ func (a *AtStruct) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
 	return Injection{Struct: a.Struct, Bit: a.Bit % 32}, true
 }
 
-// OracleStep implements the architectural site (regfile, fetch PC).
-func (a *AtStruct) OracleStep(icount uint64, arch ArchState) bool {
+// OracleStep implements the oracle-step site: the architectural
+// structures (regfile, fetch PC) and the memory hierarchy. Cache and TLB
+// targets need their victim line resident (a lost write-back
+// additionally needs it dirty), so the injector polls every oracle step
+// from Seq until the hierarchy is in an eligible state; a fault whose
+// line never becomes eligible simply never fires and the trial is
+// masked.
+func (a *AtStruct) OracleStep(icount, committed uint64, m *emu.Machine, h *mem.Hierarchy) bool {
 	if a.fired || icount < a.Seq {
 		return false
 	}
+	var fired bool
 	switch a.Struct {
 	case StructFetchPC:
-		arch.CorruptPC(a.mask())
+		m.CorruptPC(a.mask())
+		fired = true
 	case StructRegFile:
 		if a.Reg%32 == 0 {
 			return false // r0 is hardwired; nothing to corrupt
 		}
-		arch.CorruptReg(a.Reg%32, a.mask())
-	default:
-		return false
+		m.CorruptReg(a.Reg%32, a.mask())
+		fired = true
+	case StructMemWord:
+		// Through the dirty-tracked write path, so copy-on-write page
+		// snapshots and fork-replay page comparisons see the flip.
+		w, addr := m.Mem(), a.Addr&^3
+		if v, err := w.ReadWord(addr); err == nil {
+			fired = w.WriteWord(addr, v^a.mask()) == nil
+		}
+	case StructL1DTag:
+		fired = h.L1D.InjectTagFlip(a.Addr, a.Bit)
+	case StructL1ITag:
+		fired = h.L1I.InjectTagFlip(a.Addr, a.Bit)
+	case StructL1DDirty:
+		// The clear may only fire after the block's last golden store
+		// (Seq2) has retired: earlier, the block's own remaining stores
+		// would re-dirty the line and mask the upset unconditionally.
+		fired = h.L1D.InjectDirtyClear(a.Addr, committed > a.Seq2)
+	case StructL1DData:
+		fired, _, _ = h.L1D.InjectDataFlip(a.Addr, a.Bit%32)
+	case StructL2Line:
+		fired, a.eccCorrected, a.eccDetected = h.L2.InjectDataFlip(a.Addr, a.Bit%64)
+	case StructITLB:
+		fired = h.ITLB.InjectEntryFlip(a.Addr, a.Bit)
+	case StructDTLB:
+		fired = h.DTLB.InjectEntryFlip(a.Addr, a.Bit)
 	}
-	a.fired = true
-	a.firedSeq = icount
-	return true
+	if fired {
+		a.fired = true
+		a.firedSeq = icount
+	}
+	return fired
 }
 
 // RSQEnqueue implements the RSQ site (operand copy, stored P-result,
@@ -465,56 +436,11 @@ func (a *AtStruct) RSQEnqueue(seq uint64, tr emu.Trace) (RSQCorruption, bool) {
 	return c, true
 }
 
-// MemStep implements the memory-hierarchy site. Cache and TLB targets
-// need their victim line resident (a lost write-back additionally
-// needs it dirty), so the injector polls every oracle step from Seq
-// until the hierarchy is in an eligible state; a fault whose line never
-// becomes eligible simply never fires and the trial is masked.
-func (a *AtStruct) MemStep(icount uint64, mp MemPlane) bool {
-	if a.fired || icount < a.Seq {
-		return false
-	}
-	fired := false
-	switch a.Struct {
-	case StructMemWord:
-		fired = mp.CorruptWord(a.Addr&^3, a.mask())
-	case StructL1DTag:
-		fired = mp.TagFlip(SelL1D, a.Addr, a.Bit)
-	case StructL1ITag:
-		fired = mp.TagFlip(SelL1I, a.Addr, a.Bit)
-	case StructL1DDirty:
-		fired = mp.DirtyClear(a.Addr, a.Seq2)
-	case StructL1DData:
-		fired = mp.DataFlip(SelL1D, a.Addr, a.Bit%32) != FlipNone
-	case StructL2Line:
-		switch mp.DataFlip(SelL2, a.Addr, a.Bit%64) {
-		case FlipApplied:
-			fired = true
-		case FlipCorrected:
-			fired, a.eccCorrected = true, true
-		case FlipDetected:
-			fired, a.eccDetected = true, true
-		}
-	case StructITLB:
-		fired = mp.TLBEntryFlip(false, a.Addr, a.Bit)
-	case StructDTLB:
-		fired = mp.TLBEntryFlip(true, a.Addr, a.Bit)
-	default:
-		return false
-	}
-	if fired {
-		a.fired = true
-		a.firedSeq = icount
-	}
-	return fired
-}
-
 // AtSeq injects a single fault into the instruction with the given
 // sequence number. The zero Bit flips bit 0.
 type AtSeq struct {
-	Seq    uint64
-	Bit    uint8
-	Struct Struct
+	Seq uint64
+	Bit uint8
 
 	fired bool
 }
@@ -525,7 +451,7 @@ func (a *AtSeq) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
 		return Injection{}, false
 	}
 	a.fired = true
-	return Injection{Bit: a.Bit % 32, Struct: a.Struct}, true
+	return Injection{Bit: a.Bit % 32}, true
 }
 
 // Fired reports whether the fault has been injected.
@@ -603,7 +529,9 @@ func (r *Random) Injected() uint64 { return r.injected }
 // P-stream and any redundant execution that lands on the same unit —
 // the common-mode case that plain re-execution cannot detect and RESO
 // (recomputation with shifted operands, the paper's §3 reference [15])
-// can.
+// can. It is installed like any other fault, as the injector passed to
+// pipeline.New or Checkpoint.Fork; the pipeline recognises it there and
+// applies it at execution, so its Decide never fires.
 type StuckUnit struct {
 	// Kind is the fu.Kind value of the faulty unit's class.
 	Kind uint8
@@ -612,6 +540,10 @@ type StuckUnit struct {
 	// Bit is the flipped result bit.
 	Bit uint8
 }
+
+// Decide implements Injector: a stuck unit fires at execution, never at
+// the writeback latch.
+func (StuckUnit) Decide(uint64, emu.Trace) (Injection, bool) { return Injection{}, false }
 
 // Mask returns the XOR mask the fault applies to a result computed on
 // the faulty unit.
@@ -680,36 +612,17 @@ func Apply(inj Injection, tr emu.Trace) (result, nextPC, addr, storeValue uint32
 	switch {
 	case inj.Struct == StructLSQAddr && op.IsMem():
 		addr ^= mask
-	case inj.Struct == StructLSQStoreData && op.IsStore():
+	case op.IsStore():
+		// A store's latched outcome is its value (the LSQ store data).
 		storeValue ^= mask
-	case inj.Struct == StructLSQAddr || inj.Struct == StructLSQStoreData:
-		// An LSQ fault aimed at a non-memory instruction: nothing to
-		// corrupt in the latch plane; fall through to the result so the
-		// injection is never silently dropped.
-		fallthrough
-	case inj.Struct == StructResult:
-		switch {
-		case op.IsStore():
-			storeValue ^= mask
-		case op.IsControl() && !tr.HasResult:
-			nextPC ^= mask
-		case tr.HasResult:
-			result ^= mask
-		default:
-			// halt/out and friends: fault the next PC (control corruption).
-			nextPC ^= mask
-		}
+	case tr.HasResult:
+		result ^= mask
 	default:
-		// Oracle- and RSQ-site structures never reach Apply; treat any
-		// stray injection as a result fault.
-		switch {
-		case op.IsStore():
-			storeValue ^= mask
-		case tr.HasResult:
-			result ^= mask
-		default:
-			nextPC ^= mask
-		}
+		// Result-less control transfers, halt/out and friends: fault the
+		// next PC (control corruption). An LSQ fault aimed at a
+		// non-memory instruction lands here or on the result, so the
+		// injection is never silently dropped.
+		nextPC ^= mask
 	}
 	return result, nextPC, addr, storeValue
 }

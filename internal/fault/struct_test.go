@@ -3,8 +3,12 @@ package fault
 import (
 	"testing"
 
+	"reese/internal/asm"
+	"reese/internal/config"
 	"reese/internal/emu"
 	"reese/internal/isa"
+	"reese/internal/mem"
+	"reese/internal/program"
 )
 
 func TestStructNamesRoundTrip(t *testing.T) {
@@ -89,48 +93,124 @@ func TestAtStructSkipsForwardToEligibleVictim(t *testing.T) {
 	}
 }
 
-// recordingArch captures the architectural corruption calls.
-type recordingArch struct {
-	pcMask  uint32
-	reg     uint8
-	regMask uint32
+// oracleSite builds the oracle and memory hierarchy the oracle-step
+// site corrupts: a machine on a one-word-of-data program, with dirty
+// tracking on, and the starting configuration's hierarchy (L2 with
+// SECDED when ecc) backed by the machine's memory. data is the data
+// word's address.
+func oracleSite(t *testing.T, ecc bool) (m *emu.Machine, h *mem.Hierarchy, data uint32) {
+	t.Helper()
+	prog, err := asm.Assemble("site", "\thalt\n.data\nw:\n\t.word 0x5a5a5a5a\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = emu.New(prog); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem().EnableDirtyTracking()
+	cfg := config.Starting().Memory
+	cfg.L2.ECC = ecc
+	if h, err = mem.NewHierarchy(cfg); err != nil {
+		t.Fatal(err)
+	}
+	h.SetWordPlane(m.Mem())
+	return m, h, program.DataBase
 }
 
-func (r *recordingArch) CorruptPC(mask uint32)          { r.pcMask = mask }
-func (r *recordingArch) CorruptReg(reg uint8, m uint32) { r.reg, r.regMask = reg, m }
-
 func TestAtStructOracleSites(t *testing.T) {
-	arch := &recordingArch{}
+	m, h, _ := oracleSite(t, false)
+	pc := m.PC()
 	inj := &AtStruct{Struct: StructFetchPC, Seq: 10, Bit: 31}
-	if inj.OracleStep(9, arch) {
+	if inj.OracleStep(9, 0, m, h) {
 		t.Error("fired before Seq")
 	}
-	if !inj.OracleStep(10, arch) {
+	if !inj.OracleStep(10, 0, m, h) {
 		t.Fatal("did not fire at Seq")
 	}
-	if arch.pcMask != 1<<31 {
-		t.Errorf("pc mask = %#x, want bit 31", arch.pcMask)
+	if got := m.PC() ^ pc; got != 1<<31 {
+		t.Errorf("pc mask = %#x, want bit 31", got)
 	}
-	if inj.OracleStep(11, arch) {
+	if inj.OracleStep(11, 0, m, h) {
 		t.Error("fired twice")
 	}
 
-	arch = &recordingArch{}
+	m, h, _ = oracleSite(t, false)
+	before := m.Reg(17)
 	reg := &AtStruct{Struct: StructRegFile, Seq: 0, Bit: 5, Reg: 17}
-	if !reg.OracleStep(0, arch) {
+	if !reg.OracleStep(0, 0, m, h) {
 		t.Fatal("regfile fault did not fire")
 	}
-	if arch.reg != 17 || arch.regMask != 1<<5 {
-		t.Errorf("corrupted r%d with %#x, want r17 with bit 5", arch.reg, arch.regMask)
+	if got := m.Reg(17) ^ before; got != 1<<5 {
+		t.Errorf("corrupted r17 with %#x, want bit 5", got)
 	}
 
 	// r0 is hardwired zero: a fault aimed there must never fire.
 	zero := &AtStruct{Struct: StructRegFile, Seq: 0, Bit: 5, Reg: 0}
 	for i := uint64(0); i < 8; i++ {
-		if zero.OracleStep(i, &recordingArch{}) {
+		if zero.OracleStep(i, 0, m, h) {
 			t.Fatal("fired on r0")
 		}
 	}
+}
+
+func TestAtStructMemorySites(t *testing.T) {
+	t.Run("non-resident line polls", func(t *testing.T) {
+		m, h, data := oracleSite(t, false)
+		inj := &AtStruct{Struct: StructL1DTag, Seq: 0, Bit: 3, Addr: data}
+		for i := uint64(0); i < 4; i++ {
+			if inj.OracleStep(i, i, m, h) {
+				t.Fatalf("fired at step %d with the victim line not resident", i)
+			}
+		}
+		h.L1D.Access(data, false)
+		if !inj.OracleStep(4, 4, m, h) || inj.FiredSeq() != 4 {
+			t.Fatalf("fired=%v at %d, want the first step with the line resident (4)", inj.Fired(), inj.FiredSeq())
+		}
+	})
+	t.Run("l1d-dirty waits for the last store", func(t *testing.T) {
+		m, h, data := oracleSite(t, false)
+		h.L1D.Access(data, true)
+		inj := &AtStruct{Struct: StructL1DDirty, Seq: 0, Seq2: 5, Addr: data}
+		for committed := uint64(0); committed <= 5; committed++ {
+			if inj.OracleStep(committed, committed, m, h) {
+				t.Fatalf("cleared the dirty bit at committed=%d, before Seq2 retired", committed)
+			}
+		}
+		if !inj.OracleStep(6, 6, m, h) {
+			t.Fatal("did not fire once committed > Seq2")
+		}
+	})
+	t.Run("l2-line on SECDED", func(t *testing.T) {
+		for _, tc := range []struct {
+			bit                 uint8
+			corrected, detected bool
+		}{{3, true, false}, {40, false, true}} {
+			m, h, data := oracleSite(t, true)
+			h.L2.Access(data, false)
+			inj := &AtStruct{Struct: StructL2Line, Seq: 0, Bit: tc.bit, Addr: data}
+			if !inj.OracleStep(0, 0, m, h) {
+				t.Fatalf("bit %d: did not fire on a resident L2 line", tc.bit)
+			}
+			if inj.EccCorrected() != tc.corrected || inj.EccDetected() != tc.detected {
+				t.Errorf("bit %d: corrected=%v detected=%v, want %v %v",
+					tc.bit, inj.EccCorrected(), inj.EccDetected(), tc.corrected, tc.detected)
+			}
+		}
+	})
+	t.Run("mem-word", func(t *testing.T) {
+		m, h, data := oracleSite(t, false)
+		orig, _ := m.Mem().ReadWord(data)
+		inj := &AtStruct{Struct: StructMemWord, Seq: 0, Bit: 4, Addr: data + 2}
+		if !inj.OracleStep(0, 0, m, h) {
+			t.Fatal("did not fire")
+		}
+		if got, _ := m.Mem().ReadWord(data); got != orig^1<<4 {
+			t.Errorf("word = %#x, want %#x", got, orig^1<<4)
+		}
+		if !m.Mem().DirtyPages()[data>>mem.PageShift] {
+			t.Error("the flip bypassed dirty tracking: its page is not dirty")
+		}
+	})
 }
 
 func TestAtStructComparatorFaultBlindsTheLane(t *testing.T) {

@@ -333,11 +333,10 @@ func permanentFaultCoverage() ablation {
 	var runs []func(Options) error
 	for i, s := range schemes {
 		runs = append(runs, func(opt Options) error {
-			cpu, err := newCPU(s.cfg, "gcc", 1, fault.None{}, opt)
+			cpu, err := newCPU(s.cfg, "gcc", 1, stuck, opt)
 			if err != nil {
 				return err
 			}
-			cpu.SetStuckUnit(stuck)
 			results[i], err = cpu.RunContext(opt.Ctx, opt.Insts)
 			return err
 		})

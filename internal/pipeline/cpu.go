@@ -90,12 +90,8 @@ type CPU struct {
 	// structure-addressed hook sites (oracle step, RSQ enqueue); set once
 	// in New so the hot path pays a nil check, not a type assertion.
 	sites fault.SiteInjector
-	// memSites is non-nil when injector can additionally fire into the
-	// memory hierarchy (cache/TLB/memory-word faults); same nil-gated
-	// hook pattern as sites.
-	memSites fault.MemSiteInjector
-	// stuck, when non-nil, is a permanent single-unit fault (see
-	// fault.StuckUnit and SetStuckUnit).
+	// stuck, when non-nil, is the permanent single-unit fault the
+	// injector is (fault.StuckUnit); resolved with sites.
 	stuck *fault.StuckUnit
 
 	// fetchQ is a fixed-capacity ring buffer (FetchQueueSize entries);
@@ -351,15 +347,22 @@ func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*C
 }
 
 // setInjector installs inj (nil for none) and resolves its optional
-// structure-addressed hook sites once, so the hot path pays a nil check
-// rather than a type assertion.
+// structure-addressed hook sites and stuck unit once, so the hot path
+// pays a nil check rather than a type assertion. A fork inherits the
+// checkpoint's fields, so every one is reset here.
 func (c *CPU) setInjector(inj fault.Injector) {
 	if inj == nil {
 		inj = fault.None{}
 	}
 	c.injector = inj
 	c.sites, _ = inj.(fault.SiteInjector)
-	c.memSites, _ = inj.(fault.MemSiteInjector)
+	c.stuck = nil
+	if s, ok := inj.(fault.StuckUnit); ok {
+		// Allocate only here: taking &s would move s to the heap on
+		// every call, stuck or not.
+		c.stuck = new(fault.StuckUnit)
+		*c.stuck = s
+	}
 }
 
 // Result is the outcome of a simulation run.
@@ -664,11 +667,6 @@ func (c *CPU) Committed() uint64 { return c.committed }
 // Output returns the bytes the program has emitted via "out"
 // instructions (architectural state, produced by the oracle).
 func (c *CPU) Output() []byte { return c.oracle.Output() }
-
-// SetStuckUnit installs a permanent fault in one functional unit: every
-// result computed on it has one bit flipped, in the P stream and in any
-// redundant execution that lands on the same unit. Call before Run.
-func (c *CPU) SetStuckUnit(s fault.StuckUnit) { c.stuck = &s }
 
 func (c *CPU) result() Result {
 	res := Result{

@@ -17,6 +17,7 @@ import (
 	"reese/internal/config"
 	"reese/internal/fault"
 	"reese/internal/fu"
+	"reese/internal/program"
 )
 
 // singleALU forces every integer ALU operation (P and R) onto one unit,
@@ -48,11 +49,10 @@ loop:
 `
 
 func TestStuckUnitBlindSpotWithoutRESO(t *testing.T) {
-	cpu, err := New(singleALU().WithReese(), mustProg(t, aluLoop), nil)
+	cpu, err := New(singleALU().WithReese(), mustProg(t, aluLoop), stuckALU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetStuckUnit(stuckALU())
 	res, err := cpu.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +68,10 @@ func TestStuckUnitBlindSpotWithoutRESO(t *testing.T) {
 }
 
 func TestStuckUnitDetectedWithRESO(t *testing.T) {
-	cpu, err := New(singleALU().WithReese().WithRESO(), mustProg(t, aluLoop), nil)
+	cpu, err := New(singleALU().WithReese().WithRESO(), mustProg(t, aluLoop), stuckALU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetStuckUnit(stuckALU())
 	res, err := cpu.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +89,10 @@ func TestStuckUnitDetectedWithRESO(t *testing.T) {
 func TestStuckUnitDetectedAcrossUnitsWithoutRESO(t *testing.T) {
 	// With 4 ALUs, the R-stream execution frequently lands on a healthy
 	// unit, so even plain re-execution catches the stuck bit.
-	cpu, err := New(config.Starting().WithReese(), mustProg(t, aluLoop), nil)
+	cpu, err := New(config.Starting().WithReese(), mustProg(t, aluLoop), stuckALU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetStuckUnit(stuckALU())
 	res, err := cpu.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +141,10 @@ func TestStuckMemPortCorruptsLoads(t *testing.T) {
 	buf:
 		.word 42
 	`
-	cpu, err := New(config.Starting().WithReese(), mustProg(t, src), nil)
+	cpu, err := New(config.Starting().WithReese(), mustProg(t, src), fault.StuckUnit{Kind: uint8(fu.MemPort), Unit: 0, Bit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetStuckUnit(fault.StuckUnit{Kind: uint8(fu.MemPort), Unit: 0, Bit: 2})
 	res, err := cpu.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +155,10 @@ func TestStuckMemPortCorruptsLoads(t *testing.T) {
 }
 
 func TestStuckUnitOnBaselineIsInvisible(t *testing.T) {
-	cpu, err := New(singleALU(), mustProg(t, aluLoop), nil)
+	cpu, err := New(singleALU(), mustProg(t, aluLoop), stuckALU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetStuckUnit(stuckALU())
 	res, err := cpu.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -172,5 +168,51 @@ func TestStuckUnitOnBaselineIsInvisible(t *testing.T) {
 	}
 	if !res.Halted {
 		t.Error("should complete (corrupted)")
+	}
+}
+
+// TestStuckUnitForkNeverConverges checks convergedAt's stuck-unit
+// refusal through the public Fork: a fork carrying a stuck unit
+// differs from its checkpoint in past unit assignments the entry
+// comparison ignores, so it must never be judged converged, while a
+// clean fork of the same checkpoint is.
+func TestStuckUnitForkNeverConverges(t *testing.T) {
+	cpu, err := New(config.Starting().WithReese(), mustProg(t, aluLoop), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck *Checkpoint
+	var img *program.Memory
+	cpu.SetBoundaryHook([]uint64{300}, func(c *CPU) bool {
+		ck, img = c.Snapshot(nil), c.OracleMemory().Clone()
+		return true
+	})
+	if _, err := cpu.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if ck == nil {
+		t.Fatal("the run never reached the checkpoint boundary")
+	}
+	clean, err := ck.Fork(img.Clone(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Converged(clean, nil) {
+		t.Fatal("a clean fork must converge with its own checkpoint")
+	}
+	stuck, err := ck.Fork(img.Clone(), stuckALU(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Converged(stuck, nil) {
+		t.Error("a fork carrying a stuck unit was judged converged")
+	}
+	// Recycling the stuck fork's machine must not carry the unit over.
+	again, err := ck.Fork(img.Clone(), nil, stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Converged(again, nil) {
+		t.Error("a clean fork into a recycled stuck machine did not converge")
 	}
 }

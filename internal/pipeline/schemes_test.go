@@ -110,9 +110,7 @@ func TestSchemesGolden(t *testing.T) {
 			run("clean", nil, nil, false)
 			run("periodic", &fault.Periodic{Interval: 997, Start: 300}, nil, true)
 			if stuckMachines[mi] {
-				run("stuck", nil, func(c *CPU) {
-					c.SetStuckUnit(fault.StuckUnit{Kind: uint8(fu.IntALU), Unit: 0, Bit: 5})
-				}, false)
+				run("stuck", fault.StuckUnit{Kind: uint8(fu.IntALU), Unit: 0, Bit: 5}, nil, false)
 			}
 			run("hang", &fault.AtStruct{Struct: fault.StructFetchPC, Seq: 5_000, Bit: 30}, func(c *CPU) {
 				c.SetHangLimit(20_000)

@@ -40,16 +40,11 @@ func (c *CPU) nextTrace() *emu.Trace {
 	if c.oracleDone {
 		return nil
 	}
-	if c.sites != nil && c.sites.OracleStep(c.oracle.InstCount(), c.oracle) {
-		// An architectural-site fault (regfile, fetch PC) corrupted the
-		// oracle directly; from here the machine executes the corrupted
-		// program state — both streams, so the comparator sees nothing.
-		c.noteOracleInjection()
-	}
-	if c.memSites != nil && c.memSites.MemStep(c.oracle.InstCount(), hierPlane{c}) {
-		// A memory-hierarchy fault fired: a flipped architectural word,
-		// a perturbed cache line or TLB entry — all outside the sphere
-		// of replication, so the comparator sees nothing here either.
+	if c.sites != nil && c.sites.OracleStep(c.oracle.InstCount(), c.committed, c.oracle, c.hier) {
+		// A fault outside the sphere of replication fired: a corrupted
+		// register, fetch PC or memory word in the oracle, or a perturbed
+		// cache line or TLB entry. From here the machine executes the
+		// corrupted state — both streams, so the comparator sees nothing.
 		c.noteOracleInjection()
 	}
 	tr, err := c.oracle.Step()

@@ -202,9 +202,10 @@ func BitGrid(cfg Config, workloadName string, atSeq uint64, opt Options) ([]harn
 }
 
 // StuckUnit is a permanent single-bit fault in one functional unit;
-// install it on a CPU with SetStuckUnit before Run. Plain re-execution
-// misses it when both executions use the faulty unit; a Config built
-// with WithRESO detects it (see examples and EXPERIMENTS.md).
+// install it by passing it as the injector to New or Run. Plain
+// re-execution misses it when both executions use the faulty unit; a
+// Config built with WithRESO detects it (see examples and
+// EXPERIMENTS.md).
 type StuckUnit = fault.StuckUnit
 
 // StuckALU returns a permanent fault in integer ALU unit (bit flipped

@@ -157,11 +157,10 @@ func TestStuckUnitViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := reese.New(cfg, prog, nil)
+	cpu, err := reese.New(cfg, prog, reese.StuckALU(0, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetStuckUnit(reese.StuckALU(0, 7))
 	res, err := cpu.Run(30_000)
 	if err != nil {
 		t.Fatal(err)
