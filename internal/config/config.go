@@ -186,6 +186,65 @@ func (m Machine) HasRSQ() bool {
 	return m.Reese.Enabled && m.Reese.Mode != ModeDupDispatch
 }
 
+// Upper bounds on the fields that size a machine's allocations. A
+// machine can arrive from a client of the service or the cluster, and a
+// window of 2^30 entries would make one worker allocate hundreds of GB:
+// a fatal out-of-memory error, which no panic handler catches. Each
+// bound is far above any machine the experiments build (RUU 256, RSQ
+// 64, a 512 KB L2 of 8K lines). A cache's block size and associativity
+// are bounded too, so that block*assoc cannot overflow.
+const (
+	maxQueue      = 1 << 16 // fetch queue, RUU, LSQ and RSQ entries
+	maxUnits      = 1 << 10 // functional units of one class
+	maxAssoc      = 1 << 10 // ways of a cache set
+	maxBlockBytes = 1 << 12
+	maxCacheLines = 1 << 20 // cache size / block size
+	maxTLBEntries = 1 << 16
+	maxBTBEntries = 1 << 20
+	maxRASSize    = 1 << 16
+)
+
+// checkBounds rejects a machine whose allocation-sizing fields exceed
+// the bounds above. Negative counts are left to the lower-bound checks.
+// It allocates nothing unless it fails (pipeline.New calls it per run).
+func (m Machine) checkBounds() error {
+	n := func(v int) uint64 { return uint64(max(v, 0)) }
+	lines := func(c mem.CacheConfig) uint64 { return uint64(c.SizeBytes / max(c.BlockBytes, 1)) }
+	mm := &m.Memory
+	for _, b := range [...]struct {
+		what  string
+		v, hi uint64
+	}{
+		{"fetch queue size", n(m.FetchQueueSize), maxQueue},
+		{"RUU size", n(m.RUUSize), maxQueue},
+		{"LSQ size", n(m.LSQSize), maxQueue},
+		{"RSQ size", n(m.Reese.RSQSize), maxQueue},
+		{"int ALUs", n(m.FU.IntALU), maxUnits},
+		{"int multipliers", n(m.FU.IntMult), maxUnits},
+		{"memory ports", n(m.FU.MemPort), maxUnits},
+		{"FP ALUs", n(m.FU.FPALU), maxUnits},
+		{"FP multipliers", n(m.FU.FPMult), maxUnits},
+		{"L1I block bytes", uint64(mm.L1I.BlockBytes), maxBlockBytes},
+		{"L1D block bytes", uint64(mm.L1D.BlockBytes), maxBlockBytes},
+		{"L2 block bytes", uint64(mm.L2.BlockBytes), maxBlockBytes},
+		{"L1I assoc", uint64(mm.L1I.Assoc), maxAssoc},
+		{"L1D assoc", uint64(mm.L1D.Assoc), maxAssoc},
+		{"L2 assoc", uint64(mm.L2.Assoc), maxAssoc},
+		{"L1I lines", lines(mm.L1I), maxCacheLines},
+		{"L1D lines", lines(mm.L1D), maxCacheLines},
+		{"L2 lines", lines(mm.L2), maxCacheLines},
+		{"ITLB entries", uint64(mm.ITLB.Entries), maxTLBEntries},
+		{"DTLB entries", uint64(mm.DTLB.Entries), maxTLBEntries},
+		{"BTB entries", uint64(m.BTBSets) * uint64(m.BTBAssoc), maxBTBEntries},
+		{"RAS size", n(m.RASSize), maxRASSize},
+	} {
+		if b.v > b.hi {
+			return fmt.Errorf("config %s: %s %d above the limit %d", m.Name, b.what, b.v, b.hi)
+		}
+	}
+	return nil
+}
+
 // Validate checks the configuration for consistency.
 func (m Machine) Validate() error {
 	if m.FetchQueueSize < 1 {
@@ -217,7 +276,7 @@ func (m Machine) Validate() error {
 			return fmt.Errorf("config %s: re-execute every %d", m.Name, m.Reese.ReexecuteEvery)
 		}
 	}
-	return nil
+	return m.checkBounds()
 }
 
 // Starting returns the paper's Table 1 starting configuration (baseline:

@@ -119,6 +119,48 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// Every field that sizes an allocation has an upper bound: a machine
+// sent to the service must not be able to make a worker allocate
+// without limit. The largest machines the experiments build stay valid.
+func TestValidateBoundsAllocationSizes(t *testing.T) {
+	big := Starting().WithRUU(256).WithRSQ(64).WithFUs(fu.Config{IntALU: 8, IntMult: 2, MemPort: 4, FPALU: 8, FPMult: 2})
+	if err := big.WithReese().Validate(); err != nil {
+		t.Fatalf("largest experiment machine rejected: %v", err)
+	}
+	const huge = 1 << 30
+	for name, mod := range map[string]func(*Machine){
+		"fetch queue":     func(m *Machine) { m.FetchQueueSize = huge },
+		"RUU":             func(m *Machine) { m.RUUSize = huge },
+		"LSQ":             func(m *Machine) { m.LSQSize = huge },
+		"RSQ":             func(m *Machine) { m.Reese.RSQSize = huge },
+		"int ALUs":        func(m *Machine) { m.FU.IntALU = huge },
+		"int multipliers": func(m *Machine) { m.FU.IntMult = huge },
+		"memory ports":    func(m *Machine) { m.FU.MemPort = huge },
+		"FP ALUs":         func(m *Machine) { m.FU.FPALU = huge },
+		"FP multipliers":  func(m *Machine) { m.FU.FPMult = huge },
+		"L1I lines":       func(m *Machine) { m.Memory.L1I.BlockBytes, m.Memory.L1I.SizeBytes = 1, huge },
+		"L1D size":        func(m *Machine) { m.Memory.L1D.SizeBytes = 1 << 31 },
+		"L2 size":         func(m *Machine) { m.Memory.L2.SizeBytes = 1 << 31 },
+		"L1I block":       func(m *Machine) { m.Memory.L1I.BlockBytes = 1 << 16 },
+		"L1D block":       func(m *Machine) { m.Memory.L1D.BlockBytes = 1 << 16 },
+		"L2 block":        func(m *Machine) { m.Memory.L2.BlockBytes = 1 << 16 },
+		"L1I assoc":       func(m *Machine) { m.Memory.L1I.Assoc = 1 << 16 },
+		"L1D assoc":       func(m *Machine) { m.Memory.L1D.Assoc = 1 << 16 },
+		"L2 assoc":        func(m *Machine) { m.Memory.L2.Assoc = 1 << 16 },
+		"ITLB entries":    func(m *Machine) { m.Memory.ITLB.Entries = huge },
+		"DTLB entries":    func(m *Machine) { m.Memory.DTLB.Entries = huge },
+		"BTB sets":        func(m *Machine) { m.BTBSets = huge },
+		"BTB assoc":       func(m *Machine) { m.BTBAssoc = huge },
+		"RAS":             func(m *Machine) { m.RASSize = huge },
+	} {
+		m := Starting().WithReese()
+		mod(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: oversized machine accepted", name)
+		}
+	}
+}
+
 func TestWithNameAndImmutability(t *testing.T) {
 	base := Starting()
 	named := base.WithName("custom")

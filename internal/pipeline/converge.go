@@ -13,6 +13,7 @@ import (
 	"reese/internal/bpred"
 	"reese/internal/emu"
 	"reese/internal/mem"
+	"reese/internal/ring"
 	"reese/internal/ruu"
 )
 
@@ -72,13 +73,6 @@ func (r *SuffixReads) OrInto(dst *SuffixReads) {
 // miss) resolve in hundreds of cycles, so probing from 1024 keeps the
 // clone and compare cost off every path that will ever commit again.
 const hangProbeMin = 1024
-
-func relTime(v, now uint64) uint64 {
-	if v <= now {
-		return 0
-	}
-	return v - now
-}
 
 // oracleEqual compares the oracles' scalar architectural state exactly
 // (memory is the caller's job — trial memory is compared page-wise
@@ -146,7 +140,7 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, reads *SuffixReads) bool 
 	}
 	// Front end.
 	if c.fetchStalled != g.fetchStalled ||
-		relTime(c.fetchReadyAt, c.cycle) != relTime(g.fetchReadyAt, g.cycle) {
+		ring.RelTime(c.fetchReadyAt, c.cycle) != ring.RelTime(g.fetchReadyAt, g.cycle) {
 		return false
 	}
 	if c.wrongPath != g.wrongPath {
@@ -166,17 +160,16 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, reads *SuffixReads) bool 
 	if c.hasWPPending != g.hasWPPending || (c.hasWPPending && c.wpPending != g.wpPending) {
 		return false
 	}
-	if c.fetchLen != g.fetchLen {
-		return false
-	}
-	for i := 0; i < c.fetchLen; i++ {
-		a, b := c.fetchQAt(i), g.fetchQAt(i)
+	// fetchedAt is observability backdating only, always in the past: it
+	// normalizes to zero on both sides.
+	if !ring.Equal(&c.fetchQ, &g.fetchQ, func(a, b *fetchEntry) bool {
 		if a.tr != b.tr || a.mispredicted != b.mispredicted ||
 			a.histSnap != b.histSnap || a.bogus != b.bogus {
 			return false
 		}
-		// fetchedAt is observability backdating only, always in the past:
-		// it normalizes to zero on both sides.
+		return true
+	}) {
+		return false
 	}
 	if len(c.replayQ)-c.replayHead != len(g.replayQ)-g.replayHead {
 		return false
@@ -209,7 +202,7 @@ func (c *CPU) convergedAt(g *CPU, droughtDelta uint64, reads *SuffixReads) bool 
 		return false
 	}
 	// Window state.
-	if !ruu.Converged(c.ruu, g.ruu, c.lsq, g.lsq, c.cycle, g.cycle) {
+	if !ruu.Converged(&c.ruu, &g.ruu, &c.lsq, &g.lsq, c.cycle, g.cycle) {
 		return false
 	}
 	return c.scheme.converged(g.scheme, c, g)

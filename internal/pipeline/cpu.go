@@ -31,6 +31,7 @@ import (
 	"reese/internal/obs"
 	"reese/internal/program"
 	"reese/internal/reese"
+	"reese/internal/ring"
 	"reese/internal/ruu"
 	"reese/internal/stats"
 )
@@ -79,8 +80,8 @@ type CPU struct {
 	btb  *bpred.BTB
 	ras  *bpred.RAS
 
-	ruu *ruu.RUU
-	lsq *ruu.LSQ
+	ruu ruu.RUU
+	lsq ruu.LSQ
 	// scheme is the redundancy organisation (scheme.go): baseline,
 	// R-stream Queue, or duplicate-at-dispatch.
 	scheme scheme
@@ -94,11 +95,9 @@ type CPU struct {
 	// injector is (fault.StuckUnit); resolved with sites.
 	stuck *fault.StuckUnit
 
-	// fetchQ is a fixed-capacity ring buffer (FetchQueueSize entries);
-	// fetchHead/fetchLen index it so steady-state fetch never allocates.
-	fetchQ    []fetchEntry
-	fetchHead int
-	fetchLen  int
+	// fetchQ holds FetchQueueSize entries in a fixed ring, so
+	// steady-state fetch never allocates.
+	fetchQ ring.Ring[fetchEntry]
 	// replayQ holds traces to re-fetch after fault recovery, consumed
 	// from replayHead; replayScratch is the spare buffer recover() swaps
 	// in when rebuilding the queue, so repeated recoveries reuse the
@@ -248,40 +247,6 @@ type CPU struct {
 	classCommits [8]uint64
 }
 
-// Fetch-queue ring-buffer operations. The buffer is sized once in New;
-// pushes are bounded by FetchQueueSize checks in fetch().
-
-func (c *CPU) fetchQPush(fe fetchEntry) *fetchEntry {
-	i := c.fetchHead + c.fetchLen
-	if i >= len(c.fetchQ) {
-		i -= len(c.fetchQ)
-	}
-	c.fetchQ[i] = fe
-	c.fetchLen++
-	return &c.fetchQ[i]
-}
-
-func (c *CPU) fetchQFront() *fetchEntry { return &c.fetchQ[c.fetchHead] }
-
-func (c *CPU) fetchQPop() {
-	c.fetchHead++
-	if c.fetchHead == len(c.fetchQ) {
-		c.fetchHead = 0
-	}
-	c.fetchLen--
-}
-
-// fetchQAt returns the i-th entry from the front (0 = oldest).
-func (c *CPU) fetchQAt(i int) *fetchEntry {
-	j := c.fetchHead + i
-	if j >= len(c.fetchQ) {
-		j -= len(c.fetchQ)
-	}
-	return &c.fetchQ[j]
-}
-
-func (c *CPU) fetchQClear() { c.fetchHead, c.fetchLen = 0, 0 }
-
 // New builds a CPU for prog under machine configuration cfg, with
 // injector supplying soft errors (pass fault.None{} for none).
 func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*CPU, error) {
@@ -325,14 +290,14 @@ func New(cfg config.Machine, prog *program.Program, injector fault.Injector) (*C
 		oracle:    oracle,
 		prog:      prog,
 		dec:       prog.Decoded(),
-		fetchQ:    make([]fetchEntry, cfg.FetchQueueSize),
+		fetchQ:    ring.Make[fetchEntry](cfg.FetchQueueSize),
 		hier:      hier,
 		pool:      pool,
 		pred:      pred,
 		btb:       btb,
 		ras:       ras,
-		ruu:       r,
-		lsq:       lsq,
+		ruu:       *r,
+		lsq:       *lsq,
 		detectLat: stats.NewHistogram(1),
 		hangLimit: DefaultHangLimit,
 		storeHash: emu.DigestSeed,

@@ -267,7 +267,7 @@ func (s rsqScheme) clone(dst scheme) scheme {
 // enough: the RUUs must align exactly.
 func (s rsqScheme) converged(o scheme, c, g *CPU) bool {
 	gs, ok := o.(rsqScheme)
-	return ok && s.q.StateConverged(gs.q, c.cycle, g.cycle, c.lsq.NormSeq, g.lsq.NormSeq) &&
+	return ok && s.q.StateConverged(gs.q, c.cycle, g.cycle, &c.lsq, &g.lsq) &&
 		(s.q.Every() <= 1 || c.ruu.NextSeq() == g.ruu.NextSeq())
 }
 

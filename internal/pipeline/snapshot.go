@@ -124,8 +124,10 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	if dst == nil {
 		dst = &CPU{}
 	}
-	oracle, hier, pool, r, lq, sch := dst.oracle, dst.hier, dst.pool, dst.ruu, dst.lsq, dst.scheme
-	fq, rpq, rps := dst.fetchQ, dst.replayQ, dst.replayScratch
+	oracle, hier, pool, sch := dst.oracle, dst.hier, dst.pool, dst.scheme
+	// The queues' rings keep dst's slot arrays for CopyFrom to refill.
+	fq, rq, lq := dst.fetchQ, dst.ruu.Ring, dst.lsq.Ring
+	rpq, rps := dst.replayQ, dst.replayScratch
 
 	*dst = *c
 	dst.oracle = c.oracle.CloneInto(oracle, memory)
@@ -141,10 +143,11 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	dst.pred = c.pred.Clone()
 	dst.btb = c.btb.Clone()
 	dst.ras = c.ras.Clone()
-	dst.ruu = c.ruu.CloneInto(r)
-	dst.lsq = c.lsq.CloneInto(lq)
+	fq.CopyFrom(&c.fetchQ)
+	rq.CopyFrom(&c.ruu.Ring)
+	lq.CopyFrom(&c.lsq.Ring)
+	dst.fetchQ, dst.ruu.Ring, dst.lsq.Ring = fq, rq, lq
 	dst.scheme = c.scheme.clone(sch)
-	dst.fetchQ = append(fq[:0], c.fetchQ...)
 	dst.replayQ = append(rpq[:0], c.replayQ...)
 	// replayScratch contents are dead outside recover(); keep only the
 	// backing array for reuse.

@@ -78,7 +78,7 @@ func (c *CPU) fetch() {
 	var lastBlock uint32
 	haveBlock := false
 	blockMask := ^(c.cfg.Memory.L1I.BlockBytes - 1)
-	for n := 0; n < c.cfg.Width && c.fetchLen < c.cfg.FetchQueueSize; n++ {
+	for n := 0; n < c.cfg.Width && !c.fetchQ.Full(); n++ {
 		var tr *emu.Trace
 		if c.wrongPath {
 			if c.hasWPPending {
@@ -118,7 +118,7 @@ func (c *CPU) fetch() {
 				return
 			}
 		}
-		fe := c.fetchQPush(fetchEntry{tr: *tr, bogus: c.wrongPath, fetchedAt: c.cycle})
+		fe := c.fetchQ.Push(fetchEntry{tr: *tr, bogus: c.wrongPath, fetchedAt: c.cycle})
 		c.traceEvent(EvFetch, tr, "")
 		if c.wrongPath {
 			c.wpFetched++
@@ -321,7 +321,7 @@ func (c *CPU) dispatchCause() obs.StallCause {
 // frontEndCause charges idle slots to the front end: the post-halt drain
 // once nothing is left to fetch or replay, an empty fetch queue before.
 func (c *CPU) frontEndCause() obs.StallCause {
-	if c.oracleDone && c.fetchLen == 0 && !c.hasPending && c.replayHead >= len(c.replayQ) {
+	if c.oracleDone && c.fetchQ.Empty() && !c.hasPending && c.replayHead >= len(c.replayQ) {
 		return obs.CauseDrain
 	}
 	return obs.CauseFetchEmpty
@@ -330,12 +330,12 @@ func (c *CPU) frontEndCause() obs.StallCause {
 // dispatchP moves one instruction from the fetch queue into the RUU
 // (and LSQ for memory operations), reporting whether it did.
 func (c *CPU) dispatchP() bool {
-	if c.fetchLen == 0 {
+	if c.fetchQ.Empty() {
 		return false
 	}
 	// fe stays valid after the pop below: nothing refills its ring slot
 	// before fetch runs.
-	fe := c.fetchQFront()
+	fe := c.fetchQ.Head()
 	if c.ruu.Full() {
 		c.blockDispatch(obs.CauseDispatchRUUFull)
 		return false
@@ -362,7 +362,7 @@ func (c *CPU) dispatchP() bool {
 	e.Mispredicted = fe.mispredicted && !fe.bogus
 	e.Bogus = fe.bogus
 	e.BpHistory = fe.histSnap
-	c.fetchQPop()
+	c.fetchQ.RemoveHead()
 	if c.traceW != nil {
 		c.traceEvent(EvDispatch, &e.Trace, fmt.Sprintf("seq=%d", e.Seq))
 	}
@@ -582,7 +582,7 @@ func (c *CPU) squashWrongPath(branch *ruu.Entry) {
 	}
 	// Everything still in the fetch queue is bogus (nothing real is
 	// fetched after a mispredicted branch).
-	c.fetchQClear()
+	c.fetchQ.Flush()
 	c.hasWPPending = false
 	c.pred.Restore(c.wpHistSnap)
 	c.wrongPath = false
@@ -763,13 +763,14 @@ func (c *CPU) recover(faultSeq uint64) {
 		}
 		return true
 	})
-	for i := 0; i < c.fetchLen; i++ {
+	c.fetchQ.Scan(func(fe *fetchEntry) bool {
 		// Wrong-path entries are squashed work, not program state; they
 		// must never re-enter the real instruction stream.
-		if fe := c.fetchQAt(i); !fe.bogus {
+		if !fe.bogus {
 			replay = append(replay, fe.tr)
 		}
-	}
+		return true
+	})
 	replay = append(replay, c.replayQ[c.replayHead:]...)
 
 	c.replayScratch = c.replayQ[:0]
@@ -777,7 +778,7 @@ func (c *CPU) recover(faultSeq uint64) {
 	c.replayHead = 0
 	c.ruu.Flush()
 	c.lsq.Flush()
-	c.fetchQClear()
+	c.fetchQ.Flush()
 	c.pool.Reset()
 	c.fetchStalled = false
 	c.wrongPath = false

@@ -1,35 +1,28 @@
 package reese
 
-// SeqNorm maps an external (LSQ) sequence reference to a normalized
-// comparable value; pipeline convergence passes each machine's own
-// LSQ.NormSeq.
-type SeqNorm func(uint64) uint64
-
-func relTime(v, now uint64) uint64 {
-	if v <= now {
-		return 0
-	}
-	return v - now
-}
+import (
+	"reese/internal/ring"
+	"reese/internal/ruu"
+)
 
 // StateConverged reports whether two R-stream Queues behave identically
 // from here on, under the same normalization rules as ruu.Converged:
 // queue order is compared relative to each queue's head, completion
 // times relative to each machine's current cycle, and statistics are
-// excluded. Resident entries' program sequence numbers are excluded too
-// — a resident entry's Seq has no further behavioral use (its skip
-// decision was taken at enqueue); callers guard the partial-re-execution
-// case where future enqueues make absolute sequence numbers matter.
-func (q *Queue) StateConverged(o *Queue, nowQ, nowO uint64, lsqQ, lsqO SeqNorm) bool {
-	if q.size != o.size || q.highWater != o.highWater || q.every != o.every || q.reso != o.reso {
+// excluded; la and lb are the machines' LSQs, against which each
+// entry's LSQSeq normalises. Resident entries' program sequence numbers
+// are excluded too — a resident entry's Seq has no further behavioral
+// use (its skip decision was taken at enqueue); callers guard the
+// partial-re-execution case where future enqueues make absolute
+// sequence numbers matter.
+func (q *Queue) StateConverged(o *Queue, nowQ, nowO uint64, la, lb *ruu.LSQ) bool {
+	if q.highWater != o.highWater || q.every != o.every || q.reso != o.reso {
 		return false
 	}
-	if q.Len() != o.Len() || q.live != o.live {
+	if q.live != o.live {
 		return false
 	}
-	for i := uint64(0); i < uint64(q.Len()); i++ {
-		ea := &q.slots[(q.headSeq+i)%q.size]
-		eb := &o.slots[(o.headSeq+i)%o.size]
+	return ring.Equal(&q.Ring, &o.Ring, func(ea, eb *Entry) bool {
 		if ea.Trace != eb.Trace {
 			return false
 		}
@@ -40,22 +33,22 @@ func (q *Queue) StateConverged(o *Queue, nowQ, nowO uint64, lsqQ, lsqO SeqNorm) 
 		if ea.FaultBit != eb.FaultBit {
 			return false
 		}
-		if lsqQ(ea.LSQSeq) != lsqO(eb.LSQSeq) {
+		if la.NormSeq(ea.LSQSeq) != lb.NormSeq(eb.LSQSeq) {
 			return false
 		}
 		if ea.Dispatched != eb.Dispatched || ea.Issued != eb.Issued || ea.Done != eb.Done ||
 			ea.Verified != eb.Verified || ea.Mismatch != eb.Mismatch || ea.Skipped != eb.Skipped {
 			return false
 		}
-		if relTime(ea.DoneAt, nowQ) != relTime(eb.DoneAt, nowO) {
+		if ring.RelTime(ea.DoneAt, nowQ) != ring.RelTime(eb.DoneAt, nowO) {
 			return false
 		}
 		if ea.RFaultMask != eb.RFaultMask || ea.OperandAMask != eb.OperandAMask ||
 			ea.OperandBMask != eb.OperandBMask || ea.CompIgnore != eb.CompIgnore {
 			return false
 		}
-	}
-	return true
+		return true
+	})
 }
 
 // Every returns the partial-re-execution stride (1 = every instruction

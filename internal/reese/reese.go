@@ -23,6 +23,7 @@ import (
 
 	"reese/internal/emu"
 	"reese/internal/isa"
+	"reese/internal/ring"
 )
 
 // Entry is one instruction awaiting or undergoing redundant execution.
@@ -116,12 +117,10 @@ type Stats struct {
 
 // Queue is the R-stream Queue: a FIFO whose entries issue (possibly out
 // of order with respect to completion) and retire in order once
-// verified.
+// verified. Entries are addressed by their QSeq. A full queue blocks the
+// RUU head — the only way REESE inhibits the P stream.
 type Queue struct {
-	slots   []Entry
-	size    uint64
-	headSeq uint64 // oldest resident (rsq-order sequence)
-	nextSeq uint64 // next rsq-order sequence to allocate
+	ring.Ring[Entry]
 
 	highWater int
 	every     int // re-execute 1 in every N instructions (1 = all)
@@ -167,26 +166,12 @@ func New(size, highWater, reexecuteEvery int, reso bool) (*Queue, error) {
 		reexecuteEvery = 1
 	}
 	return &Queue{
-		slots:     make([]Entry, size),
-		size:      uint64(size),
+		Ring:      ring.Make[Entry](size),
 		highWater: highWater,
 		every:     reexecuteEvery,
 		reso:      reso,
 	}, nil
 }
-
-// Len returns current occupancy.
-func (q *Queue) Len() int { return int(q.nextSeq - q.headSeq) }
-
-// Cap returns the capacity.
-func (q *Queue) Cap() int { return int(q.size) }
-
-// Full reports whether the queue can accept no more entries. A full RSQ
-// blocks the RUU head — the only way REESE inhibits the P stream.
-func (q *Queue) Full() bool { return q.nextSeq-q.headSeq >= q.size }
-
-// Empty reports whether the queue is empty.
-func (q *Queue) Empty() bool { return q.nextSeq == q.headSeq }
 
 // PressureHigh reports whether occupancy has crossed the high-water
 // mark, giving R-stream instructions priority this cycle.
@@ -205,10 +190,9 @@ func (q *Queue) Enqueue(e Entry, now uint64) *Entry {
 	if q.Full() {
 		return nil
 	}
-	slot := &q.slots[q.nextSeq%q.size]
-	*slot = e
-	slot.QSeq = q.nextSeq
-	slot.EnqueuedAt = now
+	e.QSeq = q.NextSeq()
+	e.EnqueuedAt = now
+	slot := q.Push(e)
 	if q.every > 1 && e.Seq%uint64(q.every) != 0 {
 		// Partial re-execution: this instruction is not re-executed and
 		// verifies vacuously (coverage is sacrificed, paper §7).
@@ -219,7 +203,6 @@ func (q *Queue) Enqueue(e Entry, now uint64) *Entry {
 		slot.Verified = true
 		q.stats.Skipped++
 	}
-	q.nextSeq++
 	q.stats.Enqueued++
 	return slot
 }
@@ -228,8 +211,8 @@ func (q *Queue) Enqueue(e Entry, now uint64) *Entry {
 // dispatched back into the pipeline, or nil. The queue is a FIFO: copies
 // re-enter in order.
 func (q *Queue) NextToDispatch() *Entry {
-	for s := q.headSeq; s < q.nextSeq; s++ {
-		e := &q.slots[s%q.size]
+	for s := q.HeadSeq(); s < q.NextSeq(); s++ {
+		e := q.At(s)
 		if !e.Dispatched {
 			return e
 		}
@@ -252,52 +235,19 @@ func (q *Queue) MarkIssued(e *Entry, now, done uint64) {
 	e.DoneAt = done
 }
 
-// Resident reports whether qseq is still queued.
-func (q *Queue) Resident(qseq uint64) bool {
-	return qseq >= q.headSeq && qseq < q.nextSeq
-}
-
-// Get returns the resident entry with queue sequence qseq.
-func (q *Queue) Get(qseq uint64) *Entry {
-	if !q.Resident(qseq) {
-		panic(fmt.Sprintf("reese: Get(%d) not resident [%d,%d)", qseq, q.headSeq, q.nextSeq))
-	}
-	return &q.slots[qseq%q.size]
-}
-
-// Scan calls fn for each resident entry in queue order, stopping early
-// if fn returns false.
-func (q *Queue) Scan(fn func(*Entry) bool) {
-	for s := q.headSeq; s < q.nextSeq; s++ {
-		if !fn(&q.slots[s%q.size]) {
-			return
-		}
-	}
-}
-
-// Head returns the oldest entry, or nil.
-func (q *Queue) Head() *Entry {
-	if q.Empty() {
-		return nil
-	}
-	return &q.slots[q.headSeq%q.size]
-}
-
 // RetireHead removes the verified head entry.
 func (q *Queue) RetireHead() Entry {
-	if q.Empty() {
-		panic("reese: RetireHead on empty queue")
-	}
-	e := q.slots[q.headSeq%q.size]
-	if !e.Verified {
+	if h := q.Head(); h != nil && !h.Verified {
 		panic("reese: RetireHead on unverified entry")
 	}
-	q.headSeq++
-	return e
+	return q.RemoveHead()
 }
 
 // Flush empties the queue (fault recovery clears the RSQ, §4.3).
-func (q *Queue) Flush() { q.headSeq, q.live = q.nextSeq, 0 }
+func (q *Queue) Flush() {
+	q.Ring.Flush()
+	q.live = 0
+}
 
 // InFlight returns the number of dispatched R copies whose comparison
 // has not completed.
@@ -315,15 +265,15 @@ func (q *Queue) Sample() {
 func (q *Queue) Occupancy() (sum, peak uint64) { return q.occSum, q.occMax }
 
 // CloneInto deep-copies the R-stream Queue into dst (allocating when dst
-// is nil), reusing dst's slot slice when its capacity allows. Entries
-// are value types, so the slice copy captures everything.
+// is nil), reusing dst's slot array when its capacity allows.
 func (q *Queue) CloneInto(dst *Queue) *Queue {
 	if dst == nil {
 		dst = &Queue{}
 	}
-	slots := dst.slots
+	r := dst.Ring
 	*dst = *q
-	dst.slots = append(slots[:0], q.slots...)
+	r.CopyFrom(&q.Ring)
+	dst.Ring = r
 	return dst
 }
 

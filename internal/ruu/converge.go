@@ -1,5 +1,7 @@
 package ruu
 
+import "reese/internal/ring"
+
 // Convergence comparison for checkpoint/fork fault replay: two machines
 // whose windows match under this comparison schedule, issue, and retire
 // identically from here on, even when their absolute sequence numbers
@@ -7,44 +9,14 @@ package ruu
 // its counters run ahead of the golden run's).
 //
 // The normalization rules:
-//   - sequence references compare relative to each queue's own head; a
-//     reference outside the resident window is behaviorally equivalent
-//     to "no producer" (depReady treats both as available) and maps to
-//     one sentinel;
+//   - sequence references compare relative to each queue's own head
+//     (ring.NormSeq); a reference outside the resident window is
+//     behaviorally equivalent to "no producer" (depReady treats both as
+//     available) and maps to one sentinel;
 //   - absolute times compare relative to each machine's own current
-//     cycle, with anything at or before "now" collapsing to zero (a
-//     deadline in the past is simply "ready");
+//     cycle (ring.RelTime);
 //   - pure statistics (how a value came to be, not what it will do) are
 //     excluded.
-
-// SeqNone is the normalized sentinel for a sequence reference with no
-// behavioral meaning (absent, or no longer resident).
-const SeqNone = ^uint64(0)
-
-// NormSeq normalizes an RUU sequence reference for convergence
-// comparison.
-func (r *RUU) NormSeq(s uint64) uint64 {
-	if s == NoProducer || !r.Resident(s) {
-		return SeqNone
-	}
-	return s - r.headSeq
-}
-
-// NormSeq normalizes an LSQ memory-order sequence reference for
-// convergence comparison.
-func (q *LSQ) NormSeq(s uint64) uint64 {
-	if s == NoProducer || !q.Resident(s) {
-		return SeqNone
-	}
-	return s - q.headSeq
-}
-
-func relTime(v, now uint64) uint64 {
-	if v <= now {
-		return 0
-	}
-	return v - now
-}
 
 // Converged reports whether the (RUU, LSQ) pair of machine A matches
 // machine B's under sequence and time normalization. nowA/nowB are the
@@ -52,15 +24,7 @@ func relTime(v, now uint64) uint64 {
 // a completed instruction has no future effect unless a stuck-unit
 // fault is installed, which callers must rule out separately.
 func Converged(a, b *RUU, la, lb *LSQ, nowA, nowB uint64) bool {
-	if a.size != b.size || la.size != lb.size {
-		return false
-	}
-	if a.Len() != b.Len() || la.Len() != lb.Len() {
-		return false
-	}
-	for i := uint64(0); i < uint64(a.Len()); i++ {
-		ea := &a.slots[(a.headSeq+i)%a.size]
-		eb := &b.slots[(b.headSeq+i)%b.size]
+	if !ring.Equal(&a.Ring, &b.Ring, func(ea, eb *Entry) bool {
 		if ea.Trace != eb.Trace {
 			return false
 		}
@@ -70,7 +34,7 @@ func Converged(a, b *RUU, la, lb *LSQ, nowA, nowB uint64) bool {
 		if ea.Issued != eb.Issued || ea.Completed != eb.Completed {
 			return false
 		}
-		if relTime(ea.DoneAt, nowA) != relTime(eb.DoneAt, nowB) {
+		if ring.RelTime(ea.DoneAt, nowA) != ring.RelTime(eb.DoneAt, nowB) {
 			return false
 		}
 		if ea.Mispredicted != eb.Mispredicted || ea.BpHistory != eb.BpHistory {
@@ -97,15 +61,16 @@ func Converged(a, b *RUU, la, lb *LSQ, nowA, nowB uint64) bool {
 		if ea.FaultBit != eb.FaultBit {
 			return false
 		}
+		return true
+	}) {
+		return false
 	}
 	for i := range a.producer {
 		if a.NormSeq(a.producer[i]) != b.NormSeq(b.producer[i]) {
 			return false
 		}
 	}
-	for i := uint64(0); i < uint64(la.Len()); i++ {
-		ea := &la.slots[(la.headSeq+i)%la.size]
-		eb := &lb.slots[(lb.headSeq+i)%lb.size]
+	return ring.Equal(&la.Ring, &lb.Ring, func(ea, eb *LSQEntry) bool {
 		if ea.IsStore != eb.IsStore || ea.Addr != eb.Addr || ea.Width != eb.Width ||
 			ea.Issued != eb.Issued || ea.Forwarded != eb.Forwarded {
 			return false
@@ -113,6 +78,6 @@ func Converged(a, b *RUU, la, lb *LSQ, nowA, nowB uint64) bool {
 		if a.NormSeq(ea.Seq) != b.NormSeq(eb.Seq) {
 			return false
 		}
-	}
-	return true
+		return true
+	})
 }

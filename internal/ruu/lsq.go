@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"reese/internal/emu"
+	"reese/internal/ring"
 )
 
 // LSQEntry is one in-flight memory instruction in the load/store queue.
@@ -30,10 +31,7 @@ type LSQEntry struct {
 // Entries are freed at commit (baseline) or after R-stream verification
 // (REESE), which is what makes the LSQ a REESE pressure point.
 type LSQ struct {
-	slots   []LSQEntry
-	size    uint64
-	headSeq uint64
-	nextSeq uint64
+	ring.Ring[LSQEntry]
 }
 
 // NewLSQ builds a load/store queue with the given capacity.
@@ -41,32 +39,7 @@ func NewLSQ(size int) (*LSQ, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("ruu: lsq size %d too small", size)
 	}
-	return &LSQ{slots: make([]LSQEntry, size), size: uint64(size)}, nil
-}
-
-// Len returns the number of resident entries.
-func (q *LSQ) Len() int { return int(q.nextSeq - q.headSeq) }
-
-// Cap returns the capacity.
-func (q *LSQ) Cap() int { return int(q.size) }
-
-// Full reports whether dispatch of a memory instruction must stall.
-func (q *LSQ) Full() bool { return q.nextSeq-q.headSeq >= q.size }
-
-// Empty reports whether the queue is empty.
-func (q *LSQ) Empty() bool { return q.nextSeq == q.headSeq }
-
-// Resident reports whether memSeq is still queued.
-func (q *LSQ) Resident(memSeq uint64) bool {
-	return memSeq >= q.headSeq && memSeq < q.nextSeq
-}
-
-// Get returns the resident entry with sequence memSeq.
-func (q *LSQ) Get(memSeq uint64) *LSQEntry {
-	if !q.Resident(memSeq) {
-		panic(fmt.Sprintf("ruu: LSQ.Get(%d) not resident [%d,%d)", memSeq, q.headSeq, q.nextSeq))
-	}
-	return &q.slots[memSeq%q.size]
+	return &LSQ{ring.Make[LSQEntry](size)}, nil
 }
 
 // Dispatch allocates the tail entry for the memory instruction in tr.
@@ -75,17 +48,13 @@ func (q *LSQ) Dispatch(tr emu.Trace, seq uint64) *LSQEntry {
 	if q.Full() {
 		return nil
 	}
-	ms := q.nextSeq
-	e := &q.slots[ms%q.size]
-	*e = LSQEntry{
-		MemSeq:  ms,
+	return q.Push(LSQEntry{
+		MemSeq:  q.NextSeq(),
 		Seq:     seq,
 		IsStore: tr.Inst.Op.IsStore(),
 		Addr:    tr.Addr,
 		Width:   tr.MemWidth,
-	}
-	q.nextSeq = ms + 1
-	return e
+	})
 }
 
 // overlap reports whether two accesses touch any common byte.
@@ -113,8 +82,8 @@ const (
 func (q *LSQ) CheckLoad(memSeq uint64) LoadDisposition {
 	e := q.Get(memSeq)
 	disp := LoadFromCache
-	for ms := q.headSeq; ms < memSeq; ms++ {
-		s := &q.slots[ms%q.size]
+	for ms := q.HeadSeq(); ms < memSeq; ms++ {
+		s := q.At(ms)
 		if !s.IsStore {
 			continue
 		}
@@ -130,39 +99,3 @@ func (q *LSQ) CheckLoad(memSeq uint64) LoadDisposition {
 	}
 	return disp
 }
-
-// RemoveHead pops the oldest entry.
-func (q *LSQ) RemoveHead() LSQEntry {
-	if q.Empty() {
-		panic("ruu: RemoveHead on empty LSQ")
-	}
-	e := q.slots[q.headSeq%q.size]
-	q.headSeq++
-	return e
-}
-
-// Head returns the oldest entry, or nil when empty.
-func (q *LSQ) Head() *LSQEntry {
-	if q.Empty() {
-		return nil
-	}
-	return &q.slots[q.headSeq%q.size]
-}
-
-// Flush discards all entries.
-func (q *LSQ) Flush() { q.headSeq = q.nextSeq }
-
-// TruncateTo squashes every entry with sequence >= memSeq (the
-// wrong-path tail).
-func (q *LSQ) TruncateTo(memSeq uint64) {
-	if memSeq < q.headSeq {
-		memSeq = q.headSeq
-	}
-	if memSeq < q.nextSeq {
-		q.nextSeq = memSeq
-	}
-}
-
-// NextSeq returns the sequence number the next dispatched memory
-// instruction will receive.
-func (q *LSQ) NextSeq() uint64 { return q.nextSeq }

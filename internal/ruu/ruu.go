@@ -8,10 +8,9 @@
 // register to its most recent in-flight producer, and instructions leave
 // from the head in program order once complete. Under REESE the head
 // entries move into the R-stream Queue instead of committing directly.
-//
-// Entries are addressed by sequence number; an entry with sequence s
-// occupies slot s mod size while resident, so lookups are O(1) with no
-// generation counters.
+// Both queues are a ring.Ring addressed by sequence number; this package
+// adds what is specific to each: the RUU's create vector and wrong-path
+// unwinding, and the LSQ's memory disambiguation.
 package ruu
 
 import (
@@ -19,6 +18,7 @@ import (
 
 	"reese/internal/emu"
 	"reese/internal/isa"
+	"reese/internal/ring"
 )
 
 // NoProducer marks an operand whose value is already architectural (no
@@ -75,7 +75,8 @@ type Entry struct {
 
 	// destIdx/prevProducer record the create-vector slot this entry
 	// claimed and its previous value, so TruncateAfter can unwind the
-	// rename state when squashing wrong-path tails.
+	// rename state when squashing wrong-path tails (-1 and NoProducer
+	// when the entry claims none).
 	destIdx      int
 	prevProducer uint64
 
@@ -98,11 +99,7 @@ func (e *Entry) HasFault() bool { return e.FaultBit != 255 }
 
 // RUU is the register update unit.
 type RUU struct {
-	slots []Entry
-	size  uint64
-
-	headSeq uint64 // sequence number of the oldest resident entry
-	nextSeq uint64 // sequence number the next dispatch receives
+	ring.Ring[Entry]
 
 	// producer maps each architectural register (integer file first,
 	// then FP file) to the sequence number of its latest in-flight
@@ -123,53 +120,11 @@ func New(size int) (*RUU, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("ruu: size %d too small", size)
 	}
-	r := &RUU{slots: make([]Entry, size), size: uint64(size)}
+	r := &RUU{Ring: ring.Make[Entry](size)}
 	for i := range r.producer {
 		r.producer[i] = NoProducer
 	}
 	return r, nil
-}
-
-// Len returns the number of resident entries.
-func (r *RUU) Len() int { return int(r.nextSeq - r.headSeq) }
-
-// Cap returns the capacity.
-func (r *RUU) Cap() int { return int(r.size) }
-
-// Full reports whether dispatch must stall.
-func (r *RUU) Full() bool { return r.nextSeq-r.headSeq >= r.size }
-
-// Empty reports whether no instructions are in flight.
-func (r *RUU) Empty() bool { return r.nextSeq == r.headSeq }
-
-// NextSeq returns the sequence number the next dispatched instruction
-// will receive.
-func (r *RUU) NextSeq() uint64 { return r.nextSeq }
-
-// HeadSeq returns the sequence number of the oldest resident entry
-// (meaningless when empty).
-func (r *RUU) HeadSeq() uint64 { return r.headSeq }
-
-// Resident reports whether the entry with sequence seq is still in the
-// RUU.
-func (r *RUU) Resident(seq uint64) bool {
-	return seq >= r.headSeq && seq < r.nextSeq
-}
-
-// Get returns the resident entry with sequence seq.
-func (r *RUU) Get(seq uint64) *Entry {
-	if !r.Resident(seq) {
-		panic(fmt.Sprintf("ruu: Get(%d) not resident [%d,%d)", seq, r.headSeq, r.nextSeq))
-	}
-	return &r.slots[seq%r.size]
-}
-
-// Head returns the oldest entry, or nil when empty.
-func (r *RUU) Head() *Entry {
-	if r.Empty() {
-		return nil
-	}
-	return &r.slots[r.headSeq%r.size]
 }
 
 // Dispatch allocates the tail entry for tr, wiring operand dependencies
@@ -180,22 +135,22 @@ func (r *RUU) Dispatch(tr emu.Trace, lsqSeq uint64) *Entry {
 	if r.Full() {
 		return nil
 	}
-	seq := r.nextSeq
-	e := &r.slots[seq%r.size]
-	*e = Entry{
-		Seq:         seq,
-		Trace:       tr,
-		Dep1:        NoProducer,
-		Dep2:        NoProducer,
-		LSQSeq:      lsqSeq,
-		ResultP:     tr.Result,
-		NextPCP:     tr.NextPC,
-		AddrP:       tr.Addr,
-		StoreValueP: tr.StoreValue,
-		FaultBit:    255,
-	}
-	e.destIdx = -1
-	e.FUUnit = -1
+	seq := r.NextSeq()
+	e := r.Push(Entry{
+		Seq:          seq,
+		Trace:        tr,
+		Dep1:         NoProducer,
+		Dep2:         NoProducer,
+		LSQSeq:       lsqSeq,
+		ResultP:      tr.Result,
+		NextPCP:      tr.NextPC,
+		AddrP:        tr.Addr,
+		StoreValueP:  tr.StoreValue,
+		FaultBit:     255,
+		FUUnit:       -1,
+		destIdx:      -1,
+		prevProducer: NoProducer,
+	})
 	rs1, uses1, rs2, uses2 := tr.Inst.Sources()
 	rs1File, rs2File := tr.Inst.Op.SourceFiles()
 	if uses1 && !(rs1File == isa.FileInt && rs1 == isa.RegZero) {
@@ -217,7 +172,6 @@ func (r *RUU) Dispatch(tr emu.Trace, lsqSeq uint64) *Entry {
 			r.producer[idx] = seq
 		}
 	}
-	r.nextSeq = seq + 1
 	return e
 }
 
@@ -230,42 +184,39 @@ func (r *RUU) DispatchDup(tr emu.Trace, pairSeq, dep1, dep2, lsqSeq uint64) *Ent
 	if r.Full() {
 		return nil
 	}
-	seq := r.nextSeq
-	e := &r.slots[seq%r.size]
-	*e = Entry{
-		Seq:         seq,
-		Trace:       tr,
-		Dep1:        dep1,
-		Dep2:        dep2,
-		LSQSeq:      lsqSeq,
-		Dup:         true,
-		PairSeq:     pairSeq,
-		ResultP:     tr.Result,
-		NextPCP:     tr.NextPC,
-		AddrP:       tr.Addr,
-		StoreValueP: tr.StoreValue,
-		FaultBit:    255,
-	}
-	e.destIdx = -1
-	e.FUUnit = -1
-	r.nextSeq = seq + 1
-	return e
+	return r.Push(Entry{
+		Seq:          r.NextSeq(),
+		Trace:        tr,
+		Dep1:         dep1,
+		Dep2:         dep2,
+		LSQSeq:       lsqSeq,
+		Dup:          true,
+		PairSeq:      pairSeq,
+		ResultP:      tr.Result,
+		NextPCP:      tr.NextPC,
+		AddrP:        tr.Addr,
+		StoreValueP:  tr.StoreValue,
+		FaultBit:     255,
+		FUUnit:       -1,
+		destIdx:      -1,
+		prevProducer: NoProducer,
+	})
 }
 
 // TruncateAfter squashes every entry younger than seq (the wrong-path
 // tail behind a resolved mispredicted branch), unwinding the create
 // vector so rename state is as if they were never dispatched.
 func (r *RUU) TruncateAfter(seq uint64) {
-	if seq+1 >= r.nextSeq {
+	if seq+1 >= r.NextSeq() {
 		return
 	}
-	for s := r.nextSeq - 1; s > seq; s-- {
-		e := &r.slots[s%r.size]
+	for s := r.NextSeq() - 1; s > seq; s-- {
+		e := r.At(s)
 		if e.destIdx >= 0 && r.producer[e.destIdx] == e.Seq {
 			r.producer[e.destIdx] = e.prevProducer
 		}
 	}
-	r.nextSeq = seq + 1
+	r.TruncateTo(seq + 1)
 }
 
 // depReady reports whether the producer with sequence dep has made its
@@ -279,7 +230,7 @@ func (r *RUU) depReady(dep uint64, now uint64) bool {
 		// the R-stream Queue carrying its result), so it is available.
 		return true
 	}
-	p := &r.slots[dep%r.size]
+	p := r.At(dep)
 	return p.Completed && p.DoneAt <= now
 }
 
@@ -289,33 +240,11 @@ func (r *RUU) OperandsReady(e *Entry, now uint64) bool {
 	return r.depReady(e.Dep1, now) && r.depReady(e.Dep2, now)
 }
 
-// RemoveHead pops the oldest entry. The caller must have decided it is
-// allowed to leave (completed, and under REESE that the R-stream Queue
-// has room).
-func (r *RUU) RemoveHead() Entry {
-	if r.Empty() {
-		panic("ruu: RemoveHead on empty RUU")
-	}
-	e := r.slots[r.headSeq%r.size]
-	r.headSeq++
-	return e
-}
-
-// Scan calls fn for each resident entry in program order, stopping early
-// if fn returns false.
-func (r *RUU) Scan(fn func(*Entry) bool) {
-	for seq := r.headSeq; seq < r.nextSeq; seq++ {
-		if !fn(&r.slots[seq%r.size]) {
-			return
-		}
-	}
-}
-
 // Flush discards every in-flight instruction and clears the create
 // vector (used for fault recovery; with oracle-path fetch there are no
 // branch-mispredict flushes).
 func (r *RUU) Flush() {
-	r.headSeq = r.nextSeq
+	r.Ring.Flush()
 	for i := range r.producer {
 		r.producer[i] = NoProducer
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"reese/internal/config"
 	"reese/internal/harness"
 	"reese/internal/pipeline"
 	"reese/internal/workload"
@@ -512,6 +513,28 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestHealthzAndBadRequests covers the probe and input validation.
+// A client-supplied machine whose window would need hundreds of GB is
+// refused at the door with a 400: an out-of-memory error in a worker is
+// fatal to the whole process, so no job may ever try to allocate it.
+func TestRunRejectsOversizedMachine(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	m := config.Starting()
+	m.RUUSize = 1 << 30
+	raw, err := json.Marshal(RunRequest{Workload: "gcc", Insts: 1000, Machine: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/run?wait=10s", "application/json", strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "RUU size") {
+		t.Errorf("RUUSize 1<<30: status %d body %s, want 400 naming the RUU size", resp.StatusCode, body)
+	}
+}
+
 func TestHealthzAndBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
