@@ -14,6 +14,8 @@
 //	reese-faults -grid                   # sweep all 32 bit positions at one point
 //	reese-faults -workload gcc -n 10000 -workers http://a:8321,http://b:8321
 //	                                     # shard the campaign across replicas
+//	reese-faults -cpuprofile cpu.pprof   # write a CPU profile of the campaigns
+//	reese-faults -memprofile mem.pprof   # write a heap profile at exit
 package main
 
 import (
@@ -24,6 +26,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"reese/internal/cluster"
@@ -59,9 +63,41 @@ func run() int {
 		triageDet    = flag.Bool("triage-detected", false, "with -triage, also triage detected outcomes")
 		triageDir    = flag.String("triage-dir", "", "with -triage, write each triaged trial's Perfetto trace here (trace_path lands in the JSONL record)")
 		triageSmoke  = flag.Bool("triage-smoke", false, "seeded triage campaign with assertions; exits non-zero unless every escape carries a trace with injection and first-divergence markers")
+		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 	opt := harness.Options{Parallel: *parallel}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "reese-faults:", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(os.Stderr, "reese-faults:", err)
+			return 1
+		}
+		// run() (not main) owns the deferred stop, so os.Exit cannot
+		// truncate the profile.
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "reese-faults:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // settle live heap before the snapshot
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "reese-faults:", err)
+			}
+		}()
+	}
 
 	structs, err := parseStructures(*structures)
 	if err != nil {

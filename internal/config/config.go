@@ -276,7 +276,13 @@ func (m Machine) Validate() error {
 			return fmt.Errorf("config %s: re-execute every %d", m.Name, m.Reese.ReexecuteEvery)
 		}
 	}
-	return m.checkBounds()
+	if err := m.checkBounds(); err != nil {
+		return err
+	}
+	if err := m.Memory.Validate(); err != nil {
+		return fmt.Errorf("config %s: %w", m.Name, err)
+	}
+	return nil
 }
 
 // Starting returns the paper's Table 1 starting configuration (baseline:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"reese/internal/fu"
+	"reese/internal/mem"
 )
 
 // TestStartingMatchesTable1 pins the starting configuration to the
@@ -157,6 +158,33 @@ func TestValidateBoundsAllocationSizes(t *testing.T) {
 		mod(&m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: oversized machine accepted", name)
+		}
+	}
+}
+
+// Validate rejects every memory hierarchy pipeline.New would refuse,
+// so a bad cache or TLB geometry is a request error, not a failed run.
+func TestValidateChecksMemoryHierarchy(t *testing.T) {
+	for name, mod := range map[string]func(*Machine){
+		"L2 block not a power of two": func(m *Machine) { m.Memory.L2.BlockBytes = 48 },
+		"L1I zero assoc":              func(m *Machine) { m.Memory.L1I.Assoc = 0 },
+		"L1D size not divisible":      func(m *Machine) { m.Memory.L1D.SizeBytes = 1000 },
+		"L2 set count":                func(m *Machine) { m.Memory.L2.SizeBytes = 3 * 64 * 4 },
+		"L1D zero hit latency":        func(m *Machine) { m.Memory.L1D.HitLatency = 0 },
+		"ITLB page size":              func(m *Machine) { m.Memory.ITLB.PageBytes = 3000 },
+		"DTLB entries/assoc":          func(m *Machine) { m.Memory.DTLB.Entries = 30 },
+		"DTLB set count":              func(m *Machine) { m.Memory.DTLB.Entries, m.Memory.DTLB.Assoc = 12, 4 },
+		"memory latency":              func(m *Machine) { m.Memory.MemLatency = 0 },
+	} {
+		m := Starting().WithReese()
+		mod(&m)
+		err := m.Validate()
+		if err == nil {
+			t.Errorf("%s: invalid hierarchy accepted", name)
+			continue
+		}
+		if _, herr := mem.NewHierarchy(m.Memory); herr == nil {
+			t.Errorf("%s: Validate rejects what NewHierarchy builds", name)
 		}
 	}
 }

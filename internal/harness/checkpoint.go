@@ -114,8 +114,7 @@ func machineHash(m config.Machine) uint64 {
 // result and digests, the checkpoint chain, and per-boundary metadata
 // for splicing.
 type campaignBundle struct {
-	g    *golden
-	prog *program.Program
+	g *golden
 
 	// checkpoints[0] is the pre-run state (committed 0, always fork-
 	// eligible); the rest land one per crossed interval boundary, at the
@@ -147,16 +146,20 @@ type campaignBundle struct {
 	finalMem *mem.PageImage
 
 	budget uint64
-
-	// workers recycles per-trial machines and memory images: forking
-	// into a recycled CPU reuses its slice allocations, and the memory
-	// image is restored by page diffing instead of a full 8 MiB copy.
-	workers sync.Pool
-	// recorders recycles triage flight-recorder rings (triage.go):
-	// Reset reuses the backing array instead of zeroing a fresh ring
-	// per escape.
-	recorders sync.Pool
 }
+
+// workers recycles per-trial machines and memory images across every
+// bundle in the process, so the number of 8 MiB images is bounded by
+// concurrent trials, not by bundles times concurrency. A recycled
+// worker serves any bundle: forking refills a CPU of any machine or
+// program, and adopt copies only the pages that differ from the
+// wanted image (snapshot pages are unique across bundles, the shared
+// zero page aside, so page identity still implies equal content).
+var workers = sync.Pool{New: func() any { return newCampaignWorker() }}
+
+// recorders recycles triage flight-recorder rings (triage.go): Reset
+// reuses the backing array instead of zeroing a fresh ring per escape.
+var recorders sync.Pool // *obs.Recorder
 
 // bundleForSpec builds (or returns the memoized) campaign bundle for a
 // defaulted spec.
@@ -189,7 +192,6 @@ func buildBundle(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, error
 	}
 	b := &campaignBundle{
 		g:      g,
-		prog:   prog,
 		budget: 2*g.total + 20_000,
 	}
 
@@ -314,19 +316,24 @@ type campaignWorker struct {
 	prov []*byte
 }
 
+// newCampaignWorker makes a worker whose memory is blank: every page is
+// zero and known to equal the shared zero page, so the first adopt
+// copies only the image's non-zero pages and the rest of the 8 MiB is
+// never touched.
+func newCampaignWorker() *campaignWorker {
+	w := &campaignWorker{mem: program.NewMemory()}
+	w.mem.EnableDirtyTracking()
+	w.prov = make([]*byte, mem.NumPages(len(w.mem.Bytes())))
+	for p := range w.prov {
+		w.prov[p] = &mem.ZeroPage()[0]
+	}
+	return w
+}
+
 // adopt restores the worker's memory to the checkpoint image, copying
 // only pages whose provenance differs, and resets dirty tracking so the
 // trial's own writes can be diffed at reconvergence boundaries.
-func (w *campaignWorker) adopt(prog *program.Program, img *mem.PageImage) error {
-	if w.mem == nil {
-		m, err := program.LoadMemory(prog)
-		if err != nil {
-			return err
-		}
-		w.mem = m
-		w.mem.EnableDirtyTracking()
-		w.prov = make([]*byte, img.NumPages())
-	}
+func (w *campaignWorker) adopt(img *mem.PageImage) {
 	for p, d := range w.mem.DirtyPages() {
 		if d {
 			w.prov[p] = nil
@@ -342,7 +349,6 @@ func (w *campaignWorker) adopt(prog *program.Program, img *mem.PageImage) error 
 		w.prov[p] = ptr
 	}
 	w.mem.ClearDirty()
-	return nil
 }
 
 // memConverged reports whether the worker's live memory equals the
@@ -406,14 +412,6 @@ func (w *campaignWorker) memDiff(fork, final *mem.PageImage) (words int, lo, hi 
 	return words, lo, hi
 }
 
-// getWorker pops a recycled worker (or makes a fresh one).
-func (b *campaignBundle) getWorker() *campaignWorker {
-	if w, ok := b.workers.Get().(*campaignWorker); ok {
-		return w
-	}
-	return &campaignWorker{}
-}
-
 // runTrial executes one planned trial by forking from the nearest
 // eligible checkpoint, filling in the trial's outcome fields exactly as
 // a full from-scratch simulation would have.
@@ -430,13 +428,11 @@ func (b *campaignBundle) runTrialInstr(ctx context.Context, t *Trial, opt Option
 	st, _ := fault.ParseStruct(t.Structure)
 	inj := &fault.AtStruct{Struct: st, Seq: t.Seq, Bit: t.Bit, Reg: t.Reg, Addr: t.Addr, Seq2: t.Seq2}
 
-	w := b.getWorker()
-	defer b.workers.Put(w)
+	w := workers.Get().(*campaignWorker)
+	defer workers.Put(w)
 
 	fork := b.checkpoints[b.forkPoint(t.Seq)]
-	if err := w.adopt(b.prog, fork.Mem); err != nil {
-		return err
-	}
+	w.adopt(fork.Mem)
 	cpu, err := fork.Fork(w.mem, inj, w.cpu)
 	if err != nil {
 		return err

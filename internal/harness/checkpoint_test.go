@@ -2,14 +2,54 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"reese/internal/config"
 	"reese/internal/fault"
+	"reese/internal/mem"
+	"reese/internal/pipeline"
 	"reese/internal/workload"
 )
+
+// testBundle returns the memoized bundle of a default campaign of
+// program on m.
+func testBundle(t *testing.T, program string, m config.Machine) *campaignBundle {
+	t.Helper()
+	spec, _ := CampaignSpec{Workload: program, Machine: m}.withDefaults()
+	wspec, ok := workload.ByName(program)
+	if !ok {
+		t.Fatalf("unknown workload %q", program)
+	}
+	b, err := bundleForSpec(spec, wspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkGoldenFinish fails t unless a machine forked from one of b's
+// checkpoints finished exactly as b's golden run did.
+func checkGoldenFinish(t *testing.T, what string, b *campaignBundle, cpu *pipeline.CPU, res pipeline.Result) {
+	t.Helper()
+	if res.Cycles != b.finalRes.Cycles || res.Committed != b.finalRes.Committed {
+		t.Errorf("%s: finished at cycle %d / %d insts, golden %d / %d",
+			what, res.Cycles, res.Committed, b.finalRes.Cycles, b.finalRes.Committed)
+	}
+	if got := cpu.CommitDigest(); got != b.finalCommit {
+		t.Errorf("%s: commit digest diverged from golden", what)
+	}
+	if got := cpu.OracleDigest(); got != b.finalOracle {
+		t.Errorf("%s: oracle digest diverged from golden", what)
+	}
+	if !reflect.DeepEqual(res.Stalls, b.finalRes.Stalls) {
+		t.Errorf("%s: stall ledger diverged from golden:\nfork   %+v\ngolden %+v",
+			what, res.Stalls, b.finalRes.Stalls)
+	}
+}
 
 // TestForkFromCheckpointMatchesScratchRun is the core soundness
 // property of checkpoint/fork replay: an uninjected machine forked from
@@ -22,19 +62,7 @@ func TestForkFromCheckpointMatchesScratchRun(t *testing.T) {
 		s.WithReese(), s, s.WithDupDispatch(), s.WithReese().WithRESO(),
 		s.WithReese().WithPartialReexec(3), s.WithReese().WithWrongPath(),
 	} {
-		spec, _ := CampaignSpec{
-			Workload: "li",
-			Machine:  cfg,
-			Seed:     1,
-		}.withDefaults()
-		wspec, ok := workload.ByName(spec.Workload)
-		if !ok {
-			t.Fatalf("unknown workload %q", spec.Workload)
-		}
-		b, err := bundleForSpec(spec, wspec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := testBundle(t, "li", cfg)
 		if len(b.checkpoints) < 3 {
 			t.Fatalf("golden run produced %d checkpoints, want >= 3", len(b.checkpoints))
 		}
@@ -49,10 +77,8 @@ func TestForkFromCheckpointMatchesScratchRun(t *testing.T) {
 
 		for _, i := range picks {
 			ck := b.checkpoints[i]
-			w := &campaignWorker{}
-			if err := w.adopt(b.prog, ck.Mem); err != nil {
-				t.Fatal(err)
-			}
+			w := newCampaignWorker()
+			w.adopt(ck.Mem)
 			cpu, err := ck.Fork(w.mem, nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -61,20 +87,7 @@ func TestForkFromCheckpointMatchesScratchRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Cycles != b.finalRes.Cycles || res.Committed != b.finalRes.Committed {
-				t.Errorf("%s fork@%d (commit %d): finished at cycle %d / %d insts, golden %d / %d",
-					cfg.Name, i, ck.Committed, res.Cycles, res.Committed, b.finalRes.Cycles, b.finalRes.Committed)
-			}
-			if got := cpu.CommitDigest(); got != b.finalCommit {
-				t.Errorf("%s fork@%d: commit digest diverged from golden", cfg.Name, i)
-			}
-			if got := cpu.OracleDigest(); got != b.finalOracle {
-				t.Errorf("%s fork@%d: oracle digest diverged from golden", cfg.Name, i)
-			}
-			if !reflect.DeepEqual(res.Stalls, b.finalRes.Stalls) {
-				t.Errorf("%s fork@%d: stall ledger diverged from golden:\nfork   %+v\ngolden %+v",
-					cfg.Name, i, res.Stalls, b.finalRes.Stalls)
-			}
+			checkGoldenFinish(t, fmt.Sprintf("%s fork@%d (commit %d)", cfg.Name, i, ck.Committed), b, cpu, res)
 		}
 	}
 }
@@ -250,5 +263,130 @@ func TestCacheAndTLBTrialsSplice(t *testing.T) {
 		if masked == 0 || spliced*5 < masked*4 {
 			t.Errorf("%s: %d of %d fired, masked cache/TLB trials spliced, want >= 80%%", m.Name, spliced, masked)
 		}
+	}
+}
+
+// Trial workers come from one process-wide pool, so a worker that ran
+// a trial on one bundle serves the next trial of any other. Its memory
+// must then equal the new checkpoint's image byte for byte, and its
+// recycled CPU, of another machine and program, must run to the new
+// bundle's golden finish. Both directions run: gcc dirties only pages
+// that differ between the two programs' images anyway, while vortex
+// also writes a page that is zero in its own pre-run image and in
+// gcc's, which adopt must recopy although the old and new images both
+// hold the shared zero page there.
+func TestWorkerServesAnyBundle(t *testing.T) {
+	bundles := map[string]*campaignBundle{
+		"gcc":    testBundle(t, "gcc", config.Starting()),
+		"vortex": testBundle(t, "vortex", config.Starting().WithReese()),
+	}
+	for _, pair := range [][2]string{{"gcc", "vortex"}, {"vortex", "gcc"}} {
+		a, b := bundles[pair[0]], bundles[pair[1]]
+		for _, i := range []int{0, len(b.checkpoints) / 2, len(b.checkpoints) - 1} {
+			what := fmt.Sprintf("%s checkpoint %d after a %s trial", pair[1], i, pair[0])
+			w := newCampaignWorker()
+			ckA := a.checkpoints[0]
+			w.adopt(ckA.Mem)
+			cpu, err := ckA.Fork(w.mem, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cpu.Run(a.budget); err != nil {
+				t.Fatal(err)
+			}
+
+			ck := b.checkpoints[i]
+			w.adopt(ck.Mem)
+			if !bytes.Equal(w.mem.Bytes(), ck.Mem.Materialize()) {
+				t.Fatalf("%s: adopted memory differs from the image", what)
+			}
+			cpu, err = ck.Fork(w.mem, nil, cpu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cpu.Run(b.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGoldenFinish(t, what, b, cpu, res)
+		}
+	}
+}
+
+// Campaigns on two bundles running at once trade workers through the
+// shared pool trial by trial; each one's JSONL must still equal the
+// same spec run on its own.
+func TestCampaignsSharingWorkersMatchAlone(t *testing.T) {
+	specs := []CampaignSpec{
+		{Workload: "gcc", Machine: config.Starting(), Injections: 60, Seed: 0xA1},
+		{Workload: "vortex", Machine: config.Starting().WithReese(), Injections: 60, Seed: 0xB2},
+	}
+	jsonl := func(spec CampaignSpec) (string, error) {
+		rep, err := Campaign(spec, Options{Parallel: 2})
+		if err != nil {
+			return "", err
+		}
+		var buf bytes.Buffer
+		err = rep.WriteJSONL(&buf)
+		return buf.String(), err
+	}
+	alone := make([]string, len(specs))
+	for i, spec := range specs {
+		var err error
+		if alone[i], err = jsonl(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		got := make([]string, len(specs))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i, spec := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = jsonl(spec)
+			}()
+		}
+		wg.Wait()
+		for i, spec := range specs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if got[i] != alone[i] {
+				t.Errorf("round %d: %s on %s JSONL differs from the campaign run alone", round, spec.Workload, spec.Machine.Name)
+			}
+		}
+	}
+}
+
+// Every all-zero page of every snapshot image is the one shared zero
+// page, so the twelve default bundles (six programs on both machines)
+// hold a few hundred distinct pages instead of twelve full 8 MiB
+// images (24,841 pages when each base snapshot copied every page).
+func TestBundlesShareZeroPage(t *testing.T) {
+	zero := &mem.ZeroPage()[0]
+	pages := map[*byte]bool{}
+	for _, program := range workload.Names() {
+		for _, m := range []config.Machine{config.Starting(), config.Starting().WithReese()} {
+			b := testBundle(t, program, m)
+			images := []*mem.PageImage{b.finalMem}
+			for _, ck := range b.checkpoints {
+				images = append(images, ck.Mem)
+			}
+			for _, img := range images {
+				for p := 0; p < img.NumPages(); p++ {
+					pg := img.PageAt(p)
+					if &pg[0] != zero && bytes.Equal(pg, mem.ZeroPage()[:len(pg)]) {
+						t.Fatalf("%s on %s: an all-zero page %d is a private copy", program, m.Name, p)
+					}
+					pages[&pg[0]] = true
+				}
+			}
+		}
+	}
+	t.Logf("%d distinct snapshot pages across the twelve bundles", len(pages))
+	if len(pages) > 600 {
+		t.Errorf("%d distinct snapshot pages across the twelve bundles, want at most 600", len(pages))
 	}
 }

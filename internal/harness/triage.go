@@ -174,13 +174,13 @@ func (b *campaignBundle) triageTrial(ctx context.Context, t *Trial, opt Options)
 	rt := *t
 	rt.Triage = nil
 
-	rec, _ := b.recorders.Get().(*obs.Recorder)
+	rec, _ := recorders.Get().(*obs.Recorder)
 	if rec == nil {
 		rec = obs.NewRecorder(triageRingCap)
 	} else {
 		rec.Reset()
 	}
-	defer b.recorders.Put(rec)
+	defer recorders.Put(rec)
 
 	// Non-hang replays stop once attribution is settled: the recorder
 	// window has frozen and the divergence search has either hit or

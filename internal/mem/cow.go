@@ -7,8 +7,16 @@ package mem
 // consecutive checkpoints differ by a handful of stores. PageImage
 // shares unchanged pages between snapshots instead: the snapshot taker
 // tracks which pages were written since the previous snapshot and only
-// those are copied, so a chain of N checkpoints costs one full image
-// plus the dirtied pages — not N full images.
+// those are copied, so a chain of N checkpoints costs the program's
+// non-zero pages plus the dirtied pages — not N full images.
+//
+// Most of a program's 8 MiB is never written and stays zero. Every
+// all-zero page of every image, in every chain, is the one package-
+// level zeroPage, so a base snapshot copies only the pages that hold
+// something (a few dozen). Page identity still implies equal content,
+// which is all a consumer comparing pages by address relies on.
+
+import "bytes"
 
 // Page granularity for copy-on-write snapshots.
 const (
@@ -17,6 +25,14 @@ const (
 	// PageSize is the COW page size in bytes (4 KiB).
 	PageSize = 1 << PageShift
 )
+
+// zeroPage is the one shared all-zero page. It is snapshot state like
+// any other page: nothing may write to it.
+var zeroPage = make([]byte, PageSize)
+
+// ZeroPage returns the shared all-zero page every image stores in place
+// of a zero page of its own. Callers must treat it as read-only.
+func ZeroPage() []byte { return zeroPage }
 
 // NumPages returns how many COW pages cover an image of size bytes.
 func NumPages(size int) int { return (size + PageSize - 1) / PageSize }
@@ -32,9 +48,10 @@ type PageImage struct {
 // SnapshotPages captures image as a PageImage. dirty flags (one per
 // page, from NumPages) mark pages written since prev was taken; those
 // are copied fresh while clean pages are shared with prev. A nil prev
-// (or a nil dirty, or a size change) copies every page — the chain's
-// base snapshot. The caller is responsible for clearing the dirty
-// flags afterwards and for not mutating prev's pages.
+// (or a nil dirty, or a size change) takes every page — the chain's
+// base snapshot. A taken page that is all zero becomes the shared
+// zeroPage instead of a copy. The caller is responsible for clearing
+// the dirty flags afterwards and for not mutating prev's pages.
 func SnapshotPages(image []byte, dirty []bool, prev *PageImage) *PageImage {
 	n := NumPages(len(image))
 	img := &PageImage{size: len(image), pages: make([][]byte, n)}
@@ -49,7 +66,11 @@ func SnapshotPages(image []byte, dirty []bool, prev *PageImage) *PageImage {
 		if hi > len(image) {
 			hi = len(image)
 		}
-		img.pages[i] = append([]byte(nil), image[lo:hi]...)
+		if src := image[lo:hi]; bytes.Equal(src, zeroPage[:len(src)]) {
+			img.pages[i] = zeroPage[:len(src)]
+		} else {
+			img.pages[i] = append([]byte(nil), src...)
+		}
 	}
 	return img
 }

@@ -19,10 +19,29 @@ type Hierarchy struct {
 	Mem          *MainMemory
 }
 
+// Validate checks every cache's and TLB's geometry and the main-memory
+// latency: everything NewHierarchy needs to succeed.
+func (cfg HierarchyConfig) Validate() error {
+	if cfg.MemLatency < 1 {
+		return fmt.Errorf("mem: main-memory latency %d < 1", cfg.MemLatency)
+	}
+	for _, c := range [...]CacheConfig{cfg.L2, cfg.L1I, cfg.L1D} {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+	}
+	for _, t := range [...]TLBConfig{cfg.ITLB, cfg.DTLB} {
+		if err := t.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if cfg.MemLatency < 1 {
-		return nil, fmt.Errorf("mem: main-memory latency %d < 1", cfg.MemLatency)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	h := &Hierarchy{Mem: NewMainMemory(cfg.MemLatency)}
 	var err error

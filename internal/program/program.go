@@ -177,6 +177,9 @@ type Memory struct {
 // imported here without inverting the dependency between the packages.
 const dirtyPageShift = 12
 
+// NewMemory returns a blank memory image: MemoryTop zero bytes.
+func NewMemory() *Memory { return &Memory{bytes: make([]byte, MemoryTop)} }
+
 // LoadMemory builds a fresh memory image with p's text and data segments
 // in place.
 func LoadMemory(p *Program) (*Memory, error) {
@@ -186,7 +189,7 @@ func LoadMemory(p *Program) (*Memory, error) {
 	if uint32(len(p.Data)) > StackTop-DataBase {
 		return nil, fmt.Errorf("program %s: data segment (%d bytes) overflows into stack", p.Name, len(p.Data))
 	}
-	m := &Memory{bytes: make([]byte, MemoryTop)}
+	m := NewMemory()
 	for i, w := range p.Text {
 		binary.LittleEndian.PutUint32(m.bytes[TextBase+uint32(i)*isa.WordBytes:], w)
 	}

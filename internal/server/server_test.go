@@ -512,7 +512,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestHealthzAndBadRequests covers the probe and input validation.
 // A client-supplied machine whose window would need hundreds of GB is
 // refused at the door with a 400: an out-of-memory error in a worker is
 // fatal to the whole process, so no job may ever try to allocate it.
@@ -535,6 +534,28 @@ func TestRunRejectsOversizedMachine(t *testing.T) {
 	}
 }
 
+// A machine whose memory hierarchy pipeline.New would refuse (an L2
+// block of 48 bytes) is a 400 at submission, not a failed job.
+func TestRunRejectsBadCacheGeometry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	m := config.Starting()
+	m.Memory.L2.BlockBytes = 48
+	raw, err := json.Marshal(RunRequest{Workload: "gcc", Insts: 1000, Machine: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/run?wait=10s", "application/json", strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "block size 48") {
+		t.Errorf("L2 BlockBytes 48: status %d body %s, want 400 naming the block size", resp.StatusCode, body)
+	}
+}
+
+// TestHealthzAndBadRequests covers the probe and input validation.
 func TestHealthzAndBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
