@@ -17,8 +17,8 @@ var campaignAllocBudget = []struct {
 	cfg   config.Machine
 	count float64
 }{
-	{"baseline", config.Starting(), 3807},
-	{"reese", config.Starting().WithReese(), 4105},
+	{"baseline", config.Starting(), 936},
+	{"reese", config.Starting().WithReese(), 1153},
 }
 
 // TestCampaignAllocBudget holds the campaign engine's per-trial

@@ -14,12 +14,15 @@ import "fmt"
 // called at fetch time with the speculative outcome (the front end
 // repairs its history as soon as a misprediction is discovered, so the
 // history register tracks the fetch stream, as in SimpleScalar's
-// speculative-update mode), while Train adjusts the pattern tables at
-// branch resolution. Update performs both, for standalone use.
+// speculative-update mode), while TrainAt adjusts the pattern tables at
+// branch resolution, under the history snapshot the prediction used.
 type Predictor interface {
-	// Clone returns an independent deep copy (used when forking a
-	// machine from a checkpoint).
-	Clone() Predictor
+	// CloneInto deep-copies the predictor into dst and returns it,
+	// reusing dst's tables when dst is the same kind (used when forking
+	// a machine from a checkpoint). A nil dst, or one of another kind,
+	// is replaced by a new predictor. Read logging does not survive the
+	// copy.
+	CloneInto(dst Predictor) Predictor
 	// StateEqual reports whether o is the same predictor kind with the
 	// same history and configuration and equal pattern-table entries
 	// wherever rs marks a read — the convergence test fork-based fault
@@ -41,27 +44,8 @@ type Predictor interface {
 	// TrainAt adjusts the pattern-table entry that the prediction made
 	// under snapshot used, with the resolved outcome.
 	TrainAt(pc uint32, snapshot uint32, taken bool)
-	// Train adjusts the pattern tables using the current history.
-	Train(pc uint32, taken bool)
-	// Update trains tables and shifts history in one step.
-	Update(pc uint32, taken bool)
 	// Name identifies the predictor in reports.
 	Name() string
-}
-
-// Stats tracks prediction accuracy. Callers bump it where predictions are
-// checked (the pipeline), since only they know the true outcome ordering.
-type Stats struct {
-	Lookups uint64
-	Hits    uint64
-}
-
-// Accuracy returns the fraction of correct predictions.
-func (s Stats) Accuracy() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
 }
 
 // counter is a 2-bit saturating counter; values 2,3 predict taken.
@@ -148,30 +132,20 @@ func (g *Gshare) TrainAt(pc uint32, snapshot uint32, taken bool) {
 	g.table[i] = g.table[i].update(taken)
 }
 
-// Train implements Predictor: it adjusts the 2-bit counter the current
-// history selects for pc.
-func (g *Gshare) Train(pc uint32, taken bool) {
-	i := g.index(pc)
-	g.table[i] = g.table[i].update(taken)
-}
-
-// Update implements Predictor. It updates the counter first (using the
-// history the prediction used), then shifts the outcome into the history
-// register.
-func (g *Gshare) Update(pc uint32, taken bool) {
-	g.Train(pc, taken)
-	g.ShiftHistory(taken)
-}
-
 // Name implements Predictor.
 func (g *Gshare) Name() string { return fmt.Sprintf("gshare:%d", g.bits) }
 
-// Clone implements Predictor.
-func (g *Gshare) Clone() Predictor {
-	cp := *g
-	cp.table = append([]counter(nil), g.table...)
-	cp.readLog = nil // logging does not survive a fork
-	return &cp
+// CloneInto implements Predictor.
+func (g *Gshare) CloneInto(dst Predictor) Predictor {
+	d, _ := dst.(*Gshare)
+	if d == nil {
+		d = &Gshare{}
+	}
+	table := d.table
+	*d = *g
+	d.table = append(table[:0], g.table...)
+	d.readLog = nil
+	return d
 }
 
 // StateEqual implements Predictor.
@@ -226,26 +200,25 @@ func (b *Bimodal) Snapshot() uint32 { return 0 }
 func (b *Bimodal) Restore(snapshot uint32) {}
 
 // TrainAt implements Predictor; the snapshot is irrelevant.
-func (b *Bimodal) TrainAt(pc uint32, snapshot uint32, taken bool) { b.Train(pc, taken) }
-
-// Train implements Predictor.
-func (b *Bimodal) Train(pc uint32, taken bool) {
+func (b *Bimodal) TrainAt(pc uint32, snapshot uint32, taken bool) {
 	i := (pc >> 2) & b.mask
 	b.table[i] = b.table[i].update(taken)
 }
 
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint32, taken bool) { b.Train(pc, taken) }
-
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return fmt.Sprintf("bimodal:%d", b.bits) }
 
-// Clone implements Predictor.
-func (b *Bimodal) Clone() Predictor {
-	cp := *b
-	cp.table = append([]counter(nil), b.table...)
-	cp.readLog = nil // logging does not survive a fork
-	return &cp
+// CloneInto implements Predictor.
+func (b *Bimodal) CloneInto(dst Predictor) Predictor {
+	d, _ := dst.(*Bimodal)
+	if d == nil {
+		d = &Bimodal{}
+	}
+	table := d.table
+	*d = *b
+	d.table = append(table[:0], b.table...)
+	d.readLog = nil
+	return d
 }
 
 // StateEqual implements Predictor.
@@ -278,14 +251,15 @@ func (s *Static) Restore(snapshot uint32) {}
 // TrainAt implements Predictor (no state).
 func (s *Static) TrainAt(pc uint32, snapshot uint32, taken bool) {}
 
-// Train implements Predictor (no state).
-func (s *Static) Train(pc uint32, taken bool) {}
-
-// Update implements Predictor (no state).
-func (s *Static) Update(pc uint32, taken bool) {}
-
-// Clone implements Predictor (stateless: a value copy suffices).
-func (s *Static) Clone() Predictor { cp := *s; return &cp }
+// CloneInto implements Predictor (stateless: a value copy suffices).
+func (s *Static) CloneInto(dst Predictor) Predictor {
+	d, _ := dst.(*Static)
+	if d == nil {
+		d = &Static{}
+	}
+	*d = *s
+	return d
+}
 
 // StateEqual implements Predictor (no tables: rs is ignored).
 func (s *Static) StateEqual(o Predictor, _ *ReadSet) bool {
@@ -364,37 +338,24 @@ func (c *Combining) TrainAt(pc uint32, snapshot uint32, taken bool) {
 	c.p2.TrainAt(pc, snapshot, taken)
 }
 
-// Train implements Predictor: the chooser is trained towards whichever
-// component was right, then both components train their tables.
-func (c *Combining) Train(pc uint32, taken bool) {
-	i := (pc >> 2) & c.mask
-	r1 := c.p1.Predict(pc) == taken
-	r2 := c.p2.Predict(pc) == taken
-	if r1 != r2 {
-		c.chooser[i] = c.chooser[i].update(r1)
-	}
-	c.p1.Train(pc, taken)
-	c.p2.Train(pc, taken)
-}
-
-// Update implements Predictor.
-func (c *Combining) Update(pc uint32, taken bool) {
-	c.Train(pc, taken)
-	c.ShiftHistory(taken)
-}
-
 // Name implements Predictor.
 func (c *Combining) Name() string {
 	return fmt.Sprintf("comb(%s,%s)", c.p1.Name(), c.p2.Name())
 }
 
-// Clone implements Predictor: components clone recursively.
-func (c *Combining) Clone() Predictor {
-	cp := *c
-	cp.p1 = c.p1.Clone()
-	cp.p2 = c.p2.Clone()
-	cp.chooser = append([]counter(nil), c.chooser...)
-	return &cp
+// CloneInto implements Predictor: components copy recursively into
+// dst's components.
+func (c *Combining) CloneInto(dst Predictor) Predictor {
+	d, _ := dst.(*Combining)
+	if d == nil {
+		d = &Combining{}
+	}
+	p1, p2, chooser := d.p1, d.p2, d.chooser
+	*d = *c
+	d.p1 = c.p1.CloneInto(p1)
+	d.p2 = c.p2.CloneInto(p2)
+	d.chooser = append(chooser[:0], c.chooser...)
+	return d
 }
 
 // StateEqual implements Predictor. A combining predictor logs no

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// resolve trains p with a branch's outcome under the current history,
+// then shifts the outcome into it: what the pipeline does for a
+// correctly predicted branch, fetch and resolution folded together.
+func resolve(p Predictor, pc uint32, taken bool) {
+	p.TrainAt(pc, p.Snapshot(), taken)
+	p.ShiftHistory(taken)
+}
+
 func TestCounterSaturation(t *testing.T) {
 	c := counter(0)
 	for i := 0; i < 10; i++ {
@@ -31,7 +39,7 @@ func TestGshareLearnsAlwaysTaken(t *testing.T) {
 	}
 	pc := uint32(0x1000)
 	for i := 0; i < 20; i++ {
-		g.Update(pc, true)
+		resolve(g, pc, true)
 	}
 	if !g.Predict(pc) {
 		t.Error("gshare failed to learn always-taken")
@@ -56,7 +64,7 @@ func TestGshareLearnsAlternatingViaHistory(t *testing.T) {
 				correct++
 			}
 		}
-		g.Update(pc, taken)
+		resolve(g, pc, taken)
 		taken = !taken
 	}
 	if acc := float64(correct) / float64(total); acc < 0.9 {
@@ -74,8 +82,8 @@ func TestGshareBeatsBimodalOnCorrelated(t *testing.T) {
 	var gCorrect, bCorrect, total int
 	for i := 0; i < 5000; i++ {
 		outA := r.Intn(2) == 0
-		g.Update(pcA, outA)
-		b.Update(pcA, outA)
+		resolve(g, pcA, outA)
+		resolve(b, pcA, outA)
 		// B repeats A deterministically.
 		outB := outA
 		if i > 1000 {
@@ -87,8 +95,8 @@ func TestGshareBeatsBimodalOnCorrelated(t *testing.T) {
 				bCorrect++
 			}
 		}
-		g.Update(pcB, outB)
-		b.Update(pcB, outB)
+		resolve(g, pcB, outB)
+		resolve(b, pcB, outB)
 	}
 	gAcc := float64(gCorrect) / float64(total)
 	bAcc := float64(bCorrect) / float64(total)
@@ -107,7 +115,7 @@ func TestBimodalLearnsBias(t *testing.T) {
 	}
 	pc := uint32(0x400)
 	for i := 0; i < 10; i++ {
-		b.Update(pc, false)
+		resolve(b, pc, false)
 	}
 	if b.Predict(pc) {
 		t.Error("bimodal failed to learn not-taken bias")
@@ -123,7 +131,7 @@ func TestStatic(t *testing.T) {
 	if !st.Predict(0) {
 		t.Error("static taken")
 	}
-	st.Update(0, false) // no-op
+	resolve(st, 0, false) // no-op
 	if !st.Predict(0) {
 		t.Error("static must not learn")
 	}
@@ -145,7 +153,7 @@ func TestCombiningPrefersBetterComponent(t *testing.T) {
 	}
 	pc := uint32(0x10)
 	for i := 0; i < 20; i++ {
-		c.Update(pc, true)
+		resolve(c, pc, true)
 	}
 	if !c.Predict(pc) {
 		t.Error("combining should have learned to trust the taken component")
@@ -225,8 +233,8 @@ func TestRAS(t *testing.T) {
 	}
 	r.Push(10)
 	r.Push(20)
-	if r.Depth() != 2 {
-		t.Errorf("depth = %d", r.Depth())
+	if r.top != 2 {
+		t.Errorf("depth = %d", r.top)
 	}
 	if v, _ := r.Pop(); v != 20 {
 		t.Errorf("pop = %d, want 20", v)
@@ -250,17 +258,6 @@ func TestRASOverflowWraps(t *testing.T) {
 	// Third pop returns the overwritten slot (now 3's old position).
 	if v, ok := r.Pop(); !ok || v != 3 {
 		t.Errorf("wrapped pop = %d,%v", v, ok)
-	}
-}
-
-func TestStatsAccuracy(t *testing.T) {
-	s := Stats{}
-	if s.Accuracy() != 0 {
-		t.Error("empty accuracy")
-	}
-	s = Stats{Lookups: 4, Hits: 3}
-	if s.Accuracy() != 0.75 {
-		t.Errorf("accuracy = %v", s.Accuracy())
 	}
 }
 
@@ -321,7 +318,7 @@ func TestStateEqualReadSet(t *testing.T) {
 		rl := p.(ReadLogger)
 		rs := NewReadSet(rl.NumEntries())
 		rs.set(3)
-		q := p.Clone()
+		q := p.CloneInto(nil)
 		if !p.StateEqual(q, nil) || !p.StateEqual(q, rs) {
 			t.Fatalf("%s: clone not equal", p.Name())
 		}
@@ -344,17 +341,95 @@ func TestStateEqualReadSet(t *testing.T) {
 		}
 	}
 	// History stays exact under any read-set.
-	g2 := g1.Clone()
+	g2 := g1.CloneInto(nil)
 	g2.ShiftHistory(true)
 	if g1.StateEqual(g2, NewReadSet(g1.NumEntries())) {
 		t.Error("gshare: history difference hidden by an empty read-set")
 	}
 	// A combining predictor logs no reads, so a read-set cannot hide a
 	// component difference.
-	c1, _ := NewCombining(g1.Clone(), b1.Clone(), 4)
-	c2 := c1.Clone()
+	c1, _ := NewCombining(g1.CloneInto(nil), b1.CloneInto(nil), 4)
+	c2 := c1.CloneInto(nil)
 	c2.(*Combining).p1.(*Gshare).table[7] ^= 1
 	if c1.StateEqual(c2, NewReadSet(g1.NumEntries())) {
 		t.Error("combining: read-set hid a component difference")
+	}
+}
+
+// CloneInto refills a destination of the same kind in place, without
+// allocating, and replaces one of another kind or geometry; either way
+// the copy equals the source and shares no table with it.
+func TestCloneIntoReusesSameKind(t *testing.T) {
+	build := func(gbits, bbits uint32) []Predictor {
+		g, _ := NewGshare(gbits)
+		b, _ := NewBimodal(bbits)
+		g2, _ := NewGshare(gbits)
+		b2, _ := NewBimodal(bbits)
+		c, _ := NewCombining(g2, b2, bbits)
+		ps := []Predictor{g, b, &Static{Taken: true}, c}
+		r := rand.New(rand.NewSource(int64(gbits)))
+		for _, p := range ps {
+			for i := 0; i < 300; i++ {
+				resolve(p, uint32(r.Intn(1<<12))<<2, r.Intn(3) == 0)
+			}
+		}
+		return ps
+	}
+	src, same, other := build(8, 6), build(8, 6), build(5, 9)
+	for i, p := range src {
+		d := same[i]
+		if allocs := testing.AllocsPerRun(10, func() { p.CloneInto(d) }); allocs != 0 {
+			t.Errorf("%s: CloneInto a %s allocates %.0f", p.Name(), d.Name(), allocs)
+		}
+		if got := p.CloneInto(d); got != d || !p.StateEqual(got, nil) {
+			t.Errorf("%s: CloneInto a same-kind predictor did not refill it", p.Name())
+		}
+		for _, d := range append(other, nil) {
+			got := p.CloneInto(d)
+			if !p.StateEqual(got, nil) || got.Name() != p.Name() {
+				t.Errorf("%s: CloneInto %v gave an unequal %s", p.Name(), d, got.Name())
+			}
+		}
+		// The copy is independent of the source.
+		got := p.CloneInto(d)
+		flip := !p.Predict(0x40)
+		for i := 0; i < 4; i++ {
+			resolve(p, 0x40, flip)
+		}
+		if _, ok := p.(*Static); !ok && p.StateEqual(got, nil) {
+			t.Errorf("%s: training the source changed the copy", p.Name())
+		}
+	}
+}
+
+func TestBTBAndRASCloneInto(t *testing.T) {
+	btb, _ := NewBTB(16, 2)
+	ras, _ := NewRAS(4)
+	for i := uint32(0); i < 40; i++ {
+		btb.Insert(i*12, i)
+		ras.Push(i)
+	}
+	small, _ := NewBTB(4, 1)
+	shallow, _ := NewRAS(2)
+	for _, dst := range []*BTB{nil, small, btb.CloneInto(nil)} {
+		got := btb.CloneInto(dst)
+		if !btb.StateEqualRanked(got) || (dst != nil && got != dst) {
+			t.Errorf("BTB CloneInto(%p) = %p, not an equal refill", dst, got)
+		}
+	}
+	for _, dst := range []*RAS{nil, shallow, ras.CloneInto(nil)} {
+		got := ras.CloneInto(dst)
+		if !ras.StateEqual(got) || (dst != nil && got != dst) {
+			t.Errorf("RAS CloneInto(%p) = %p, not an equal refill", dst, got)
+		}
+	}
+	bd, rd := btb.CloneInto(nil), ras.CloneInto(nil)
+	if allocs := testing.AllocsPerRun(10, func() { btb.CloneInto(bd); ras.CloneInto(rd) }); allocs != 0 {
+		t.Errorf("BTB and RAS CloneInto a same-geometry copy allocate %.0f", allocs)
+	}
+	btb.Insert(0x1000, 7)
+	ras.Push(99)
+	if btb.StateEqualRanked(bd) || ras.StateEqual(rd) {
+		t.Error("changing the source changed the copy")
 	}
 }

@@ -79,14 +79,19 @@ func (b *BTB) Insert(pc, target uint32) {
 	b.lru[victim] = b.clock
 }
 
-// Clone returns an independent deep copy of the BTB.
-func (b *BTB) Clone() *BTB {
-	cp := *b
-	cp.tags = append([]uint32(nil), b.tags...)
-	cp.tgt = append([]uint32(nil), b.tgt...)
-	cp.valid = append([]bool(nil), b.valid...)
-	cp.lru = append([]uint64(nil), b.lru...)
-	return &cp
+// CloneInto deep-copies the BTB into dst (allocating when dst is nil),
+// reusing dst's arrays when their capacity allows.
+func (b *BTB) CloneInto(dst *BTB) *BTB {
+	if dst == nil {
+		dst = &BTB{}
+	}
+	tags, tgt, valid, lru := dst.tags, dst.tgt, dst.valid, dst.lru
+	*dst = *b
+	dst.tags = append(tags[:0], b.tags...)
+	dst.tgt = append(tgt[:0], b.tgt...)
+	dst.valid = append(valid[:0], b.valid...)
+	dst.lru = append(lru[:0], b.lru...)
+	return dst
 }
 
 // StateEqualRanked reports whether two BTBs will behave identically from
@@ -166,14 +171,16 @@ func (r *RAS) Pop() (uint32, bool) {
 	return r.stack[r.top%r.size], true
 }
 
-// Depth returns the current logical stack depth.
-func (r *RAS) Depth() int { return r.top }
-
-// Clone returns an independent deep copy of the RAS.
-func (r *RAS) Clone() *RAS {
-	cp := *r
-	cp.stack = append([]uint32(nil), r.stack...)
-	return &cp
+// CloneInto deep-copies the RAS into dst (allocating when dst is nil),
+// reusing dst's stack when its capacity allows.
+func (r *RAS) CloneInto(dst *RAS) *RAS {
+	if dst == nil {
+		dst = &RAS{}
+	}
+	stack := dst.stack
+	*dst = *r
+	dst.stack = append(stack[:0], r.stack...)
+	return dst
 }
 
 // StateEqual reports whether two stacks predict identically from here

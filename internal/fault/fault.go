@@ -480,28 +480,21 @@ func (p *Periodic) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
 // Injected returns how many faults have been injected.
 func (p *Periodic) Injected() uint64 { return p.injected }
 
-// Random injects faults with a fixed per-instruction probability using a
-// deterministic xorshift PRNG, so campaigns are reproducible.
-type Random struct {
-	// PerInst is the injection probability per instruction, expressed as
-	// numerator over 2^32 (e.g. 1<<22 ≈ 1 in 1024).
-	PerInst uint32
+// XorShift is a deterministic xorshift64* generator: the stream behind
+// Random's per-instruction draws and a campaign's trial sampling.
+type XorShift struct{ state uint64 }
 
-	state    uint64
-	injected uint64
-}
-
-// NewRandom builds a Random injector with probability num/2^32 per
-// instruction and the given seed (0 is replaced with a fixed constant).
-func NewRandom(num uint32, seed uint64) *Random {
+// NewXorShift seeds a generator (0, xorshift's fixed point, is replaced
+// with a fixed constant).
+func NewXorShift(seed uint64) XorShift {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	return &Random{PerInst: num, state: seed}
+	return XorShift{seed}
 }
 
-func (r *Random) next() uint64 {
-	// xorshift64*.
+// Next returns the stream's next value.
+func (r *XorShift) Next() uint64 {
 	x := r.state
 	x ^= x >> 12
 	x ^= x << 25
@@ -510,9 +503,29 @@ func (r *Random) next() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
+// Intn returns Next() reduced to [0, n).
+func (r *XorShift) Intn(n int) int { return int(r.Next() % uint64(n)) }
+
+// Random injects faults with a fixed per-instruction probability using a
+// deterministic xorshift PRNG, so campaigns are reproducible.
+type Random struct {
+	// PerInst is the injection probability per instruction, expressed as
+	// numerator over 2^32 (e.g. 1<<22 ≈ 1 in 1024).
+	PerInst uint32
+
+	rng      XorShift
+	injected uint64
+}
+
+// NewRandom builds a Random injector with probability num/2^32 per
+// instruction and the given seed (0 is replaced with a fixed constant).
+func NewRandom(num uint32, seed uint64) *Random {
+	return &Random{PerInst: num, rng: NewXorShift(seed)}
+}
+
 // Decide implements Injector.
 func (r *Random) Decide(seq uint64, tr emu.Trace) (Injection, bool) {
-	v := r.next()
+	v := r.rng.Next()
 	if uint32(v) >= r.PerInst {
 		return Injection{}, false
 	}

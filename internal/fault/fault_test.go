@@ -84,6 +84,27 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
+// XorShift is xorshift64* with the zero seed replaced, pinned by its
+// first output from seed 1; Random draws that one stream.
+func TestXorShiftStream(t *testing.T) {
+	one := NewXorShift(1)
+	if v := one.Next(); v != 0x47e4ce4b896cdd1d {
+		t.Errorf("first output from seed 1 = %#x", v)
+	}
+	a, b := NewXorShift(0), NewXorShift(0x9e3779b97f4a7c15)
+	r := NewRandom(1<<31, 0)
+	for i := uint64(0); i < 100; i++ {
+		v := a.Next()
+		if v != b.Next() {
+			t.Fatal("seed 0 is not replaced by the fixed constant")
+		}
+		inj, ok := r.Decide(i, emu.Trace{})
+		if ok != (uint32(v) < 1<<31) || (ok && inj.Bit != uint8(v>>32)%32) {
+			t.Fatalf("draw %d: Random does not follow the XorShift stream", i)
+		}
+	}
+}
+
 func TestRandomRateRoughlyCorrect(t *testing.T) {
 	// p = 1/8 per instruction.
 	r := NewRandom(1<<29, 123)

@@ -613,27 +613,6 @@ func classify(res pipeline.Result, commit, oracle, gold emu.Digest) fault.Outcom
 	}
 }
 
-// campaignRNG is the xorshift64* stream behind trial sampling.
-type campaignRNG struct{ state uint64 }
-
-func newCampaignRNG(seed uint64) *campaignRNG {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &campaignRNG{state: seed}
-}
-
-func (r *campaignRNG) next() uint64 {
-	x := r.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.state = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (r *campaignRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // splitmix64At returns the i-th output of the splitmix64 sequence
 // seeded at seed — the standard gamma-increment-then-mix generator, a
 // pure function of (seed, i) with O(1) random access.
@@ -653,8 +632,8 @@ func splitmix64At(seed, i uint64) uint64 {
 // stream for the trials before lo. The union of any partition's shard
 // plans therefore equals the single-process plan by construction
 // (TestShardPlanUnionEqualsFullPlan pins it).
-func trialRNG(seed uint64, i int) *campaignRNG {
-	return newCampaignRNG(splitmix64At(seed, uint64(i)))
+func trialRNG(seed uint64, i int) fault.XorShift {
+	return fault.NewXorShift(splitmix64At(seed, uint64(i)))
 }
 
 // planTrial derives trial i of the campaign plan from the seed alone:
@@ -665,11 +644,11 @@ func trialRNG(seed uint64, i int) *campaignRNG {
 // draws, so shard plans stay identical to the single-process plan.
 func planTrial(seed uint64, i int, structures []fault.Struct, g *golden) Trial {
 	rng := trialRNG(seed, i)
-	st := structures[rng.intn(len(structures))]
+	st := structures[rng.Intn(len(structures))]
 	var seq, seq2 uint64
 	var addr uint32
 	if victims, sampled := g.victimsFor(st); sampled {
-		k := rng.intn(len(victims))
+		k := rng.Intn(len(victims))
 		seq = victims[k]
 		switch st {
 		case fault.StructMemWord, fault.StructL1DTag, fault.StructL1DData,
@@ -683,7 +662,7 @@ func planTrial(seed uint64, i int, structures []fault.Struct, g *golden) Trial {
 			seq, seq2 = fl[0], fl[1]
 		}
 	} else {
-		seq = rng.next() % g.total
+		seq = rng.Next() % g.total
 		switch st {
 		case fault.StructL1ITag, fault.StructITLB:
 			addr = g.insts[seq].pc
@@ -702,11 +681,11 @@ func planTrial(seed uint64, i int, structures []fault.Struct, g *golden) Trial {
 		Structure: st.String(),
 		Seq:       seq,
 		Seq2:      seq2,
-		Bit:       uint8(rng.intn(bitRange)),
+		Bit:       uint8(rng.Intn(bitRange)),
 		Addr:      addr,
 	}
 	if st == fault.StructRegFile {
-		t.Reg = uint8(1 + rng.intn(31))
+		t.Reg = uint8(1 + rng.Intn(31))
 	}
 	return t
 }

@@ -32,9 +32,6 @@ type Options struct {
 	// past the point where the IPC statistics stabilise for these
 	// workloads.
 	Insts uint64
-	// Iters overrides the workloads' outer iteration count (0 = enough
-	// for Insts).
-	Iters int
 	// Parallel bounds concurrent simulations on the shared worker pool
 	// (0 = GOMAXPROCS, 1 = strictly sequential). Any setting produces
 	// byte-identical results; it only changes wall-clock time.
@@ -351,9 +348,9 @@ func runOne(cfg config.Machine, workloadName string, opt Options) (pipeline.Resu
 
 // newCPU builds the named workload and a cfg machine running it under
 // inj, reporting its commits to opt.Progress. The program runs scale ×
-// the workload's DefaultIters outer iterations; scale 0 sizes it for
-// opt instead (opt.Iters, or comfortably past opt.Insts). opt must be
-// normalized: the caller runs the CPU with RunContext(opt.Ctx, ...).
+// the workload's DefaultIters outer iterations; scale 0 sizes it
+// comfortably past opt.Insts instead. opt must be normalized: the
+// caller runs the CPU with RunContext(opt.Ctx, ...).
 func newCPU(cfg config.Machine, workloadName string, scale int, inj fault.Injector, opt Options) (*pipeline.CPU, error) {
 	// Bail before building anything on a cancelled experiment, so it
 	// stops scheduling its remaining runs.
@@ -365,9 +362,6 @@ func newCPU(cfg config.Machine, workloadName string, scale int, inj fault.Inject
 		return nil, fmt.Errorf("unknown workload %q", workloadName)
 	}
 	iters := spec.DefaultIters * scale
-	if scale == 0 {
-		iters = opt.Iters
-	}
 	if iters == 0 {
 		// DefaultIters yields roughly 150-400k dynamic instructions.
 		iters = spec.DefaultIters * (int(opt.Insts/150_000) + 2)

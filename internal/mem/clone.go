@@ -33,10 +33,14 @@ func (t *TLB) CloneInto(dst *TLB) *TLB {
 	return dst
 }
 
-// Clone returns a copy of the main-memory model.
-func (m *MainMemory) Clone() *MainMemory {
-	cp := *m
-	return &cp
+// CloneInto copies the main-memory model into dst (allocating when dst
+// is nil).
+func (m *MainMemory) CloneInto(dst *MainMemory) *MainMemory {
+	if dst == nil {
+		dst = &MainMemory{}
+	}
+	*dst = *m
+	return dst
 }
 
 // CloneInto deep-copies the whole hierarchy into dst (allocating when
@@ -46,7 +50,7 @@ func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
 	if dst == nil {
 		dst = &Hierarchy{}
 	}
-	dst.Mem = h.Mem.Clone()
+	dst.Mem = h.Mem.CloneInto(dst.Mem)
 	dst.L2 = h.L2.CloneInto(dst.L2, dst.Mem)
 	dst.L1I = h.L1I.CloneInto(dst.L1I, dst.L2)
 	dst.L1D = h.L1D.CloneInto(dst.L1D, dst.L2)

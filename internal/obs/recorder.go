@@ -16,9 +16,8 @@ import (
 	"reese/internal/isa"
 )
 
-// EventKind labels a pipeline lifecycle event. It is shared with
-// package pipeline's line-oriented trace (pipeline.EventKind is an
-// alias of this type).
+// EventKind labels a pipeline lifecycle event. Package pipeline's
+// line-oriented trace and the flight recorder share this vocabulary.
 type EventKind uint8
 
 // Pipeline lifecycle events.

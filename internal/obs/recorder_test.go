@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"reese/internal/isa"
@@ -112,5 +113,19 @@ func TestChromeTracePairing(t *testing.T) {
 	}
 	if instants != 1 { // the commit
 		t.Errorf("instants = %d, want 1", instants)
+	}
+}
+
+func TestEventKindStrings(t *testing.T) {
+	seen := map[string]bool{}
+	for k := EventKind(0); k < NumEventKinds; k++ {
+		s := k.String()
+		if seen[s] || strings.HasPrefix(s, "event(") {
+			t.Errorf("kind %d stringifies to %q", k, s)
+		}
+		seen[s] = true
+	}
+	if EventKind(99).String() != "event(99)" {
+		t.Error("unknown kind")
 	}
 }

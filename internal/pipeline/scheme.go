@@ -111,7 +111,7 @@ func (baseline) commit(c *CPU) int {
 			panic(fmt.Sprintf("pipeline: bogus instruction reached commit: seq=%d pc=%#x %s", e.Seq, e.Trace.PC, e.Trace.Inst))
 		}
 		used++
-		c.event(EvCommit, e.Seq, &e.Trace, "", 0, -1)
+		c.event(obs.EvCommit, e.Seq, &e.Trace, "", 0, -1)
 		c.retire(e.Trace, e.LSQSeq != ruu.NoProducer, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
 		if c.done {
 			break

@@ -48,7 +48,7 @@ func (dupScheme) dispatched(c *CPU, fe *fetchEntry, e *ruu.Entry) {
 	}
 	d := c.ruu.DispatchDup(fe.tr, e.Seq, e.Dep1, e.Dep2, lsqSeq)
 	if c.traceW != nil {
-		c.traceEvent(EvDispatch, &d.Trace, fmt.Sprintf("seq=%d (duplicate of %d)", d.Seq, e.Seq))
+		c.traceEvent(obs.EvDispatch, &d.Trace, fmt.Sprintf("seq=%d (duplicate of %d)", d.Seq, e.Seq))
 	}
 }
 
@@ -82,7 +82,7 @@ func (dupScheme) commit(c *CPU) int {
 		}
 		if h.ResultP != d.ResultP || h.NextPCP != d.NextPCP ||
 			h.AddrP != d.AddrP || h.StoreValueP != d.StoreValueP {
-			c.event(EvMismatch, h.Seq, &h.Trace, "pair comparator hit", 0, -1)
+			c.event(obs.EvMismatch, h.Seq, &h.Trace, "pair comparator hit", 0, -1)
 			faulted, at := h.HasFault(), h.FaultCycle
 			if !faulted {
 				faulted, at = d.HasFault(), d.FaultCycle
@@ -103,7 +103,7 @@ func (dupScheme) commit(c *CPU) int {
 			c.lsq.RemoveHead() // the duplicate's entry is adjacent
 		}
 		used += 2
-		c.event(EvCommit, e.Seq, &e.Trace, "pair verified", 0, -1)
+		c.event(obs.EvCommit, e.Seq, &e.Trace, "pair verified", 0, -1)
 		c.retire(e.Trace, false, commonMode, e.ResultP, e.AddrP, e.StoreValueP)
 		if c.done {
 			return used

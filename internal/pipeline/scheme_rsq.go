@@ -73,7 +73,7 @@ func (s rsqScheme) dispatchR(c *CPU) bool {
 	}
 	s.q.MarkDispatched(e)
 	if c.traceW != nil {
-		c.traceEvent(EvDispatchR, &e.Trace, fmt.Sprintf("qseq=%d", e.QSeq))
+		c.traceEvent(obs.EvDispatchR, &e.Trace, fmt.Sprintf("qseq=%d", e.QSeq))
 	}
 	if c.recorder != nil {
 		c.record(obs.EvDispatchR, e.Seq, &e.Trace, 0, -1)
@@ -120,7 +120,7 @@ func (s rsqScheme) issueR(c *CPU, budget int) int {
 		}
 		s.q.MarkIssued(e, c.cycle, doneAt)
 		if c.traceW != nil {
-			c.traceEvent(EvIssueR, &e.Trace, fmt.Sprintf("done@%d", doneAt))
+			c.traceEvent(obs.EvIssueR, &e.Trace, fmt.Sprintf("done@%d", doneAt))
 		}
 		if c.recorder != nil {
 			c.record(obs.EvIssueR, e.Seq, &e.Trace, uint8(kind)+1, int16(unit))
@@ -143,10 +143,10 @@ func (s rsqScheme) verify(c *CPU) {
 		}
 		if !s.q.Compare(e) {
 			bad = e
-			c.event(EvMismatch, e.Seq, &e.Trace, "comparator hit: soft error detected", e.RKind+1, int16(e.RUnit))
+			c.event(obs.EvMismatch, e.Seq, &e.Trace, "comparator hit: soft error detected", e.RKind+1, int16(e.RUnit))
 			return false
 		}
-		c.event(EvVerify, e.Seq, &e.Trace, "", e.RKind+1, int16(e.RUnit))
+		c.event(obs.EvVerify, e.Seq, &e.Trace, "", e.RKind+1, int16(e.RUnit))
 		return true
 	})
 	if bad != nil {
@@ -168,7 +168,7 @@ func (s rsqScheme) commit(c *CPU) int {
 		}
 		e := s.q.RetireHead()
 		used++
-		c.event(EvCommit, e.Seq, &e.Trace, "verified", 0, -1)
+		c.event(obs.EvCommit, e.Seq, &e.Trace, "verified", 0, -1)
 		c.retire(e.Trace, false, e.HasFault(), e.ResultP, e.AddrP, e.StoreValueP)
 		if c.done {
 			return used
@@ -191,7 +191,7 @@ func (s rsqScheme) commit(c *CPU) int {
 		if e.LSQSeq != ruu.NoProducer {
 			c.lsq.RemoveHead()
 		}
-		c.event(EvEnterRSQ, e.Seq, &e.Trace, "", 0, -1)
+		c.event(obs.EvEnterRSQ, e.Seq, &e.Trace, "", 0, -1)
 		ent := reese.Entry{Seq: e.Seq, Trace: e.Trace, ResultP: e.ResultP, NextPCP: e.NextPCP, AddrP: e.AddrP,
 			StoreValueP: e.StoreValueP, FaultBit: e.FaultBit, FaultCycle: e.FaultCycle, LSQSeq: e.LSQSeq}
 		if e.Seq >= c.hookHorizon {
@@ -213,7 +213,7 @@ func (s rsqScheme) commit(c *CPU) int {
 				ent.FaultCycle = c.cycle
 				c.noteInjection()
 				if c.traceW != nil {
-					c.traceEvent(EvFaultInjected, &e.Trace, fmt.Sprintf("rsq bit %d", ent.FaultBit))
+					c.traceEvent(obs.EvFaultInjected, &e.Trace, fmt.Sprintf("rsq bit %d", ent.FaultBit))
 				}
 				if c.recorder != nil {
 					c.record(obs.EvFaultInjected, e.Seq, &e.Trace, 0, -1)

@@ -125,6 +125,8 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 		dst = &CPU{}
 	}
 	oracle, hier, pool, sch := dst.oracle, dst.hier, dst.pool, dst.scheme
+	pred, btb, ras, detectLat := dst.pred, dst.btb, dst.ras, dst.detectLat
+	ff := dst.ffScratch
 	// The queues' rings keep dst's slot arrays for CopyFrom to refill.
 	fq, rq, lq := dst.fetchQ, dst.ruu.Ring, dst.lsq.Ring
 	rpq, rps := dst.replayQ, dst.replayScratch
@@ -140,9 +142,9 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 		dst.hier.SetWordPlane(nil)
 	}
 	dst.pool = c.pool.CloneInto(pool)
-	dst.pred = c.pred.Clone()
-	dst.btb = c.btb.Clone()
-	dst.ras = c.ras.Clone()
+	dst.pred = c.pred.CloneInto(pred)
+	dst.btb = c.btb.CloneInto(btb)
+	dst.ras = c.ras.CloneInto(ras)
 	fq.CopyFrom(&c.fetchQ)
 	rq.CopyFrom(&c.ruu.Ring)
 	lq.CopyFrom(&c.lsq.Ring)
@@ -152,11 +154,13 @@ func (c *CPU) cloneInto(dst *CPU, memory *program.Memory) *CPU {
 	// replayScratch contents are dead outside recover(); keep only the
 	// backing array for reuse.
 	dst.replayScratch = rps[:0]
-	dst.detectLat = c.detectLat.Clone()
+	dst.detectLat = c.detectLat.CloneInto(detectLat)
 
 	dst.traceW, dst.recorder, dst.progress, dst.progressSeen = nil, nil, nil, 0
 	dst.hookMarks, dst.hookIdx, dst.hookFn = nil, 0, nil
-	dst.hangFF, dst.ffScratch, dst.ffProbeAge = false, nil, 0
+	// dst keeps its own hang-probe clone (stale until the next probe
+	// refills it; ffProbeAge 0 marks it unused).
+	dst.hangFF, dst.ffScratch, dst.ffProbeAge = false, ff, 0
 	dst.commitWatch, dst.recFreeze = nil, 0
 	return dst
 }

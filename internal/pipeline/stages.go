@@ -119,7 +119,7 @@ func (c *CPU) fetch() {
 			}
 		}
 		fe := c.fetchQ.Push(fetchEntry{tr: *tr, bogus: c.wrongPath, fetchedAt: c.cycle})
-		c.traceEvent(EvFetch, tr, "")
+		c.traceEvent(obs.EvFetch, tr, "")
 		if c.wrongPath {
 			c.wpFetched++
 			// Wrong-path control flow already chose its own next PC in
@@ -140,7 +140,7 @@ func (c *CPU) fetch() {
 					if c.cfg.ModelWrongPath {
 						detail = "fetching down the wrong path"
 					}
-					c.event(EvMispredict, 0, tr, detail, 0, -1)
+					c.event(obs.EvMispredict, 0, tr, detail, 0, -1)
 				}
 				return
 			}
@@ -364,7 +364,7 @@ func (c *CPU) dispatchP() bool {
 	e.BpHistory = fe.histSnap
 	c.fetchQ.RemoveHead()
 	if c.traceW != nil {
-		c.traceEvent(EvDispatch, &e.Trace, fmt.Sprintf("seq=%d", e.Seq))
+		c.traceEvent(obs.EvDispatch, &e.Trace, fmt.Sprintf("seq=%d", e.Seq))
 	}
 	if c.recorder != nil {
 		// The fetch event is backdated to queue entry: its sequence
@@ -482,7 +482,7 @@ func (c *CPU) markIssued(e *ruu.Entry, doneAt uint64) {
 	e.IssuedAt = c.cycle
 	e.DoneAt = doneAt
 	if c.traceW != nil {
-		c.traceEvent(EvIssue, &e.Trace, fmt.Sprintf("done@%d", doneAt))
+		c.traceEvent(obs.EvIssue, &e.Trace, fmt.Sprintf("done@%d", doneAt))
 	}
 	if c.recorder != nil {
 		c.record(obs.EvIssue, e.Seq, &e.Trace, e.FUKind+1, int16(e.FUUnit))
@@ -503,7 +503,7 @@ func (c *CPU) writeback() {
 			return true
 		}
 		e.Completed = true
-		c.event(EvWriteback, e.Seq, &e.Trace, "", e.FUKind+1, int16(e.FUUnit))
+		c.event(obs.EvWriteback, e.Seq, &e.Trace, "", e.FUKind+1, int16(e.FUUnit))
 		if e.Bogus {
 			// Wrong-path completions update nothing architectural: no
 			// predictor training, no fault injection.
@@ -532,7 +532,7 @@ func (c *CPU) writeback() {
 			e.FaultCycle = c.cycle
 			c.noteInjection()
 			if c.traceW != nil {
-				c.traceEvent(EvFaultInjected, &e.Trace, fmt.Sprintf("bit %d", e.FaultBit))
+				c.traceEvent(obs.EvFaultInjected, &e.Trace, fmt.Sprintf("bit %d", e.FaultBit))
 			}
 			if c.recorder != nil {
 				c.record(obs.EvFaultInjected, e.Seq, &e.Trace, 0, -1)
@@ -717,7 +717,7 @@ func (c *CPU) noteOracleInjection() {
 	c.noteInjection()
 	if c.recorder != nil {
 		inj := emu.Trace{PC: c.oracle.PC()}
-		c.record(EvFaultInjected, c.oracle.InstCount(), &inj, 0, 0)
+		c.record(obs.EvFaultInjected, c.oracle.InstCount(), &inj, 0, 0)
 	}
 }
 

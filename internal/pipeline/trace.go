@@ -19,35 +19,12 @@ import (
 	"reese/internal/obs"
 )
 
-// EventKind labels a pipeline trace event. It is an alias of
-// obs.EventKind so the trace and the flight recorder share one
-// vocabulary.
-type EventKind = obs.EventKind
-
-// Pipeline trace events, re-exported for compatibility.
-const (
-	EvFetch         = obs.EvFetch
-	EvDispatch      = obs.EvDispatch
-	EvIssue         = obs.EvIssue
-	EvWriteback     = obs.EvWriteback
-	EvEnterRSQ      = obs.EvEnterRSQ
-	EvDispatchR     = obs.EvDispatchR
-	EvIssueR        = obs.EvIssueR
-	EvVerify        = obs.EvVerify
-	EvCommit        = obs.EvCommit
-	EvMispredict    = obs.EvMispredict
-	EvFaultInjected = obs.EvFaultInjected
-	EvMismatch      = obs.EvMismatch
-	EvRecovery      = obs.EvRecovery
-	EvDivergence    = obs.EvDivergence
-)
-
 // SetTrace directs pipeline event lines to w (nil disables tracing).
 // Call before Run; tracing large runs produces a lot of output.
 func (c *CPU) SetTrace(w io.Writer) { c.traceW = w }
 
 // traceEvent emits one event line if tracing is enabled.
-func (c *CPU) traceEvent(kind EventKind, tr *emu.Trace, detail string) {
+func (c *CPU) traceEvent(kind obs.EventKind, tr *emu.Trace, detail string) {
 	if c.traceW == nil {
 		return
 	}
@@ -61,13 +38,13 @@ func (c *CPU) traceEvent(kind EventKind, tr *emu.Trace, detail string) {
 // event emits one lifecycle event to the text trace (with detail) and
 // the flight recorder, each only when armed. It inlines to two nil
 // checks when neither is.
-func (c *CPU) event(kind EventKind, seq uint64, tr *emu.Trace, detail string, fuKind uint8, unit int16) {
+func (c *CPU) event(kind obs.EventKind, seq uint64, tr *emu.Trace, detail string, fuKind uint8, unit int16) {
 	if c.traceW != nil || c.recorder != nil {
 		c.emit(kind, seq, tr, detail, fuKind, unit)
 	}
 }
 
-func (c *CPU) emit(kind EventKind, seq uint64, tr *emu.Trace, detail string, fuKind uint8, unit int16) {
+func (c *CPU) emit(kind obs.EventKind, seq uint64, tr *emu.Trace, detail string, fuKind uint8, unit int16) {
 	c.traceEvent(kind, tr, detail)
 	c.recordAt(c.cycle, kind, seq, tr, fuKind, unit)
 }

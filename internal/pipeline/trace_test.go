@@ -33,19 +33,3 @@ func TestPipelineTrace(t *testing.T) {
 		t.Error("event order broken")
 	}
 }
-
-func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvFetch, EvDispatch, EvIssue, EvWriteback, EvEnterRSQ,
-		EvDispatchR, EvIssueR, EvVerify, EvCommit, EvMispredict, EvFaultInjected, EvMismatch, EvRecovery}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if seen[s] || strings.HasPrefix(s, "event(") {
-			t.Errorf("kind %d stringifies to %q", k, s)
-		}
-		seen[s] = true
-	}
-	if EventKind(99).String() != "event(99)" {
-		t.Error("unknown kind")
-	}
-}

@@ -1,15 +1,24 @@
 package stats
 
-// Clone returns an independent deep copy of the histogram (snapshot
-// support: forked machines carry their own detection-latency
-// distributions).
-func (h *Histogram) Clone() *Histogram {
-	cp := *h
-	cp.buckets = make(map[uint64]uint64, len(h.buckets))
-	for k, v := range h.buckets {
-		cp.buckets[k] = v
+// CloneInto deep-copies the histogram into dst (allocating when dst is
+// nil) and returns it (snapshot support: forked machines carry their
+// own detection-latency distributions). dst's bucket map is cleared and
+// refilled, so it keeps the room it has grown.
+func (h *Histogram) CloneInto(dst *Histogram) *Histogram {
+	if dst == nil {
+		dst = &Histogram{}
 	}
-	return &cp
+	buckets := dst.buckets
+	*dst = *h
+	if buckets == nil {
+		buckets = make(map[uint64]uint64, len(h.buckets))
+	}
+	clear(buckets)
+	for k, v := range h.buckets {
+		buckets[k] = v
+	}
+	dst.buckets = buckets
+	return dst
 }
 
 // ExtrapolateFrom scales the histogram as if the observations recorded

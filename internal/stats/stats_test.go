@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,34 @@ func TestHistogramMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// CloneInto refills a used histogram in place: the copy forgets dst's
+// own observations, equals the source, and shares no buckets with it.
+func TestHistogramCloneInto(t *testing.T) {
+	src, dst := NewHistogram(2), NewHistogram(5)
+	for v := uint64(0); v < 40; v += 3 {
+		src.Add(v)
+		dst.Add(v * 7)
+		dst.Add(v * 11)
+	}
+	if got := src.CloneInto(dst); got != dst {
+		t.Fatal("CloneInto did not refill dst")
+	}
+	fresh := src.CloneInto(nil)
+	for _, h := range []*Histogram{dst, fresh} {
+		if !reflect.DeepEqual(h.Buckets(), src.Buckets()) || h.Count() != src.Count() ||
+			h.Mean() != src.Mean() || h.Min() != src.Min() || h.Max() != src.Max() || h.Percentile(90) != src.Percentile(90) {
+			t.Errorf("copy %v differs from source %v", h.Buckets(), src.Buckets())
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { src.CloneInto(dst) }); allocs != 0 {
+		t.Errorf("CloneInto a grown histogram allocates %.0f", allocs)
+	}
+	src.Add(1000)
+	if dst.Count() == src.Count() || dst.Max() == 1000 {
+		t.Error("adding to the source changed the copy")
 	}
 }
 
