@@ -174,6 +174,8 @@ func TestValidateChecksMemoryHierarchy(t *testing.T) {
 		"ITLB page size":              func(m *Machine) { m.Memory.ITLB.PageBytes = 3000 },
 		"DTLB entries/assoc":          func(m *Machine) { m.Memory.DTLB.Entries = 30 },
 		"DTLB set count":              func(m *Machine) { m.Memory.DTLB.Entries, m.Memory.DTLB.Assoc = 12, 4 },
+		"ITLB negative miss latency":  func(m *Machine) { m.Memory.ITLB.MissLatency = -1000 },
+		"DTLB negative miss latency":  func(m *Machine) { m.Memory.DTLB.MissLatency = -1 },
 		"memory latency":              func(m *Machine) { m.Memory.MemLatency = 0 },
 	} {
 		m := Starting().WithReese()

@@ -92,7 +92,7 @@ var bundleCache sync.Map // bundleKey -> *bundleEntry
 type bundleKey struct {
 	workload string
 	target   uint64
-	machine  uint64
+	machine  config.Machine
 	interval uint64
 }
 
@@ -100,13 +100,6 @@ type bundleEntry struct {
 	once sync.Once
 	b    *campaignBundle
 	err  error
-}
-
-// machineHash fingerprints a machine configuration for memo keys. The
-// %#v rendering covers every field, nested structs included, so two
-// configs hash equal only when they simulate identically.
-func machineHash(m config.Machine) uint64 {
-	return emu.HashBytes([]byte(fmt.Sprintf("%#v", m)))
 }
 
 // campaignBundle is everything one (workload, machine) pair's trials
@@ -167,7 +160,7 @@ func bundleForSpec(spec CampaignSpec, wspec workload.Spec) (*campaignBundle, err
 	key := bundleKey{
 		workload: spec.Workload,
 		target:   spec.TargetInsts,
-		machine:  machineHash(spec.Machine),
+		machine:  spec.Machine,
 		interval: spec.CheckpointInterval,
 	}
 	v, _ := bundleCache.LoadOrStore(key, &bundleEntry{})

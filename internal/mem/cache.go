@@ -1,8 +1,11 @@
 // Package mem models the simulated memory hierarchy's timing: set-
-// associative write-back caches with LRU replacement, a fixed-latency
-// main memory, and translation lookaside buffers. It matches the
-// hierarchy the REESE paper configures on SimpleScalar (Table 1):
-// split 32 KB 2-way L1 caches, a shared 512 KB 4-way L2, and TLBs.
+// associative write-back caches with LRU replacement in front of a
+// stateless fixed-latency main memory. A translation lookaside buffer
+// is one more such cache, of page-sized blocks, whose next level is
+// the page walk (SimpleScalar builds its TLBs with cache_create too).
+// It matches the hierarchy the REESE paper configures on SimpleScalar
+// (Table 1): split 32 KB 2-way L1 caches, a shared 512 KB 4-way L2,
+// and TLBs.
 //
 // The hierarchy models timing only — data contents live in the
 // architectural memory (internal/program.Memory). That mirrors
@@ -17,8 +20,6 @@ import "fmt"
 type Level interface {
 	// Access services a read (isWrite=false) or write at addr.
 	Access(addr uint32, isWrite bool) (latency int)
-	// Name identifies the level in statistics output.
-	Name() string
 }
 
 // CacheConfig describes one cache level.
@@ -117,8 +118,14 @@ func NewCache(cfg CacheConfig, next Level) (*Cache, error) {
 	if next == nil {
 		return nil, fmt.Errorf("cache %s: nil next level", cfg.Name)
 	}
-	sets := cfg.SizeBytes / (cfg.BlockBytes * cfg.Assoc)
-	c := &Cache{
+	return newCache(cfg, cfg.SizeBytes/(cfg.BlockBytes*cfg.Assoc), next), nil
+}
+
+// newCache builds a validated geometry of sets × cfg.Assoc lines of
+// cfg.BlockBytes in front of next. cfg.SizeBytes is not read, so a TLB
+// whose reach exceeds 32 bits builds from its entry count instead.
+func newCache(cfg CacheConfig, sets uint32, next Level) *Cache {
+	return &Cache{
 		cfg:    cfg,
 		next:   next,
 		sets:   sets,
@@ -127,7 +134,6 @@ func NewCache(cfg CacheConfig, next Level) (*Cache, error) {
 		shiftS: log2(sets),
 		maskS:  sets - 1,
 	}
-	return c, nil
 }
 
 func log2(v uint32) uint32 {
@@ -138,12 +144,6 @@ func log2(v uint32) uint32 {
 	}
 	return n
 }
-
-// Name implements Level.
-func (c *Cache) Name() string { return c.cfg.Name }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // Stats returns a copy of the cache's counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
@@ -210,64 +210,15 @@ func (c *Cache) Access(addr uint32, isWrite bool) int {
 	return latency
 }
 
-// Probe reports whether addr currently hits in the cache, without
-// updating any state. Used by tests and by the pipeline to model
-// non-blocking hint checks.
-func (c *Cache) Probe(addr uint32) bool {
-	blockAddr := addr >> c.shiftB
-	set := blockAddr & c.maskS
-	tag := blockAddr >> c.shiftS
-	base := set * c.cfg.Assoc
-	for i := uint32(0); i < c.cfg.Assoc; i++ {
-		ln := &c.lines[base+i]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush invalidates all lines, writing back dirty ones to the next
-// level, and returns the number of write-backs performed.
-func (c *Cache) Flush() int {
-	if c.frec.kind != frNone {
-		c.settleFault(&c.lines[c.frec.idx])
-	}
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			n++
-			c.stats.Writebacks++
-			set := uint32(i) / c.cfg.Assoc
-			victimAddr := (c.lines[i].tag<<c.shiftS | set) << c.shiftB
-			c.next.Access(victimAddr, true)
-		}
-		c.lines[i] = line{}
-	}
-	return n
-}
-
-// MainMemory is the bottom of the hierarchy: a fixed-latency DRAM model.
+// MainMemory is the bottom of the hierarchy: a stateless fixed-latency
+// DRAM model, or a TLB's page walk.
 type MainMemory struct {
 	// Latency is the access time in cycles (SimpleScalar's default first-
 	// chunk latency).
-	Latency  int
-	accesses uint64
+	Latency int
 }
 
-var _ Level = (*MainMemory)(nil)
-
-// NewMainMemory returns a memory with the given access latency.
-func NewMainMemory(latency int) *MainMemory { return &MainMemory{Latency: latency} }
-
-// Name implements Level.
-func (m *MainMemory) Name() string { return "mem" }
+var _ Level = MainMemory{}
 
 // Access implements Level.
-func (m *MainMemory) Access(addr uint32, isWrite bool) int {
-	m.accesses++
-	return m.Latency
-}
-
-// Accesses returns how many accesses reached main memory.
-func (m *MainMemory) Accesses() uint64 { return m.accesses }
+func (m MainMemory) Access(uint32, bool) int { return m.Latency }

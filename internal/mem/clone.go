@@ -4,10 +4,11 @@ package mem
 // state comparison fork-based fault replay uses to decide that a trial
 // machine has reconverged with the golden run is in readlog.go.
 
-// CloneInto deep-copies the cache into dst (allocating when dst is nil),
-// rewiring the copy's next level to next. dst's line slice is reused
-// when its capacity allows, so per-fork steady state allocates nothing.
-func (c *Cache) CloneInto(dst *Cache, next Level) *Cache {
+// CloneInto deep-copies the cache into dst (allocating when dst is nil).
+// The copy keeps c's next level; Hierarchy.CloneInto rewires copied L1s
+// to the copied L2. dst's line slice is reused when its capacity
+// allows, so per-fork steady state allocates nothing.
+func (c *Cache) CloneInto(dst *Cache) *Cache {
 	if dst == nil {
 		dst = &Cache{}
 	}
@@ -16,44 +17,22 @@ func (c *Cache) CloneInto(dst *Cache, next Level) *Cache {
 	*dst = *c
 	dst.lines = append(lines[:0], c.lines...)
 	dst.frec.snap = append(snap[:0], c.frec.snap...)
-	dst.next = next
 	dst.log = nil // logging does not survive a fork
 	return dst
 }
 
-// CloneInto deep-copies the TLB into dst (allocating when dst is nil).
-func (t *TLB) CloneInto(dst *TLB) *TLB {
-	if dst == nil {
-		dst = &TLB{}
-	}
-	lines := dst.lines
-	*dst = *t
-	dst.lines = append(lines[:0], t.lines...)
-	dst.log = nil
-	return dst
-}
-
-// CloneInto copies the main-memory model into dst (allocating when dst
-// is nil).
-func (m *MainMemory) CloneInto(dst *MainMemory) *MainMemory {
-	if dst == nil {
-		dst = &MainMemory{}
-	}
-	*dst = *m
-	return dst
-}
-
 // CloneInto deep-copies the whole hierarchy into dst (allocating when
-// dst is nil), preserving the internal wiring (L1I/L1D share the copied
-// L2, which fronts the copied main memory).
+// dst is nil), preserving the internal wiring: L1I/L1D share the copied
+// L2, while the L2 and the TLBs keep the source's own stateless main
+// memory and page walk (sharing that interface value allocates nothing).
 func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
 	if dst == nil {
 		dst = &Hierarchy{}
 	}
-	dst.Mem = h.Mem.CloneInto(dst.Mem)
-	dst.L2 = h.L2.CloneInto(dst.L2, dst.Mem)
-	dst.L1I = h.L1I.CloneInto(dst.L1I, dst.L2)
-	dst.L1D = h.L1D.CloneInto(dst.L1D, dst.L2)
+	dst.L2 = h.L2.CloneInto(dst.L2)
+	dst.L1I = h.L1I.CloneInto(dst.L1I)
+	dst.L1D = h.L1D.CloneInto(dst.L1D)
+	dst.L1I.next, dst.L1D.next = dst.L2, dst.L2
 	dst.ITLB = h.ITLB.CloneInto(dst.ITLB)
 	dst.DTLB = h.DTLB.CloneInto(dst.DTLB)
 	return dst

@@ -14,9 +14,7 @@ type HierarchyConfig struct {
 
 // Hierarchy is an instantiated memory system.
 type Hierarchy struct {
-	L1I, L1D, L2 *Cache
-	ITLB, DTLB   *TLB
-	Mem          *MainMemory
+	L1I, L1D, L2, ITLB, DTLB *Cache
 }
 
 // Validate checks every cache's and TLB's geometry and the main-memory
@@ -43,9 +41,9 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{Mem: NewMainMemory(cfg.MemLatency)}
+	h := &Hierarchy{}
 	var err error
-	if h.L2, err = NewCache(cfg.L2, h.Mem); err != nil {
+	if h.L2, err = NewCache(cfg.L2, MainMemory{Latency: cfg.MemLatency}); err != nil {
 		return nil, err
 	}
 	if h.L1I, err = NewCache(cfg.L1I, h.L2); err != nil {
@@ -72,20 +70,14 @@ func (h *Hierarchy) SetWordPlane(p WordPlane) {
 	h.L2.SetWordPlane(p)
 }
 
-// FaultArmed reports whether any cache level still carries fault
-// residue (an armed or pending injection record).
-func (h *Hierarchy) FaultArmed() bool {
-	return h.L1I.FaultArmed() || h.L1D.FaultArmed() || h.L2.FaultArmed()
-}
-
 // FetchLatency returns the cycles to fetch the instruction block at addr
 // (I-TLB plus I-cache).
 func (h *Hierarchy) FetchLatency(addr uint32) int {
-	return h.ITLB.Translate(addr) + h.L1I.Access(addr, false)
+	return h.ITLB.Access(addr, false) + h.L1I.Access(addr, false)
 }
 
 // DataLatency returns the cycles for a data access at addr (D-TLB plus
 // D-cache).
 func (h *Hierarchy) DataLatency(addr uint32, isWrite bool) int {
-	return h.DTLB.Translate(addr) + h.L1D.Access(addr, isWrite)
+	return h.DTLB.Access(addr, false) + h.L1D.Access(addr, isWrite)
 }

@@ -27,7 +27,7 @@ const (
 )
 
 // faultRec is the residue one injected cache fault leaves until the
-// victim line is evicted (or flushed).
+// victim line is evicted.
 type faultRec struct {
 	kind    uint8
 	pending bool   // frLostWB armed but dirty bit not yet cleared
@@ -165,10 +165,6 @@ func (c *Cache) InjectDataFlip(addr uint32, bits uint8) (fired, corrected, detec
 	return true, false, c.cfg.ECC
 }
 
-// FaultArmed reports whether a fault residue (armed or pending) is
-// still outstanding on this cache.
-func (c *Cache) FaultArmed() bool { return c.frec.kind != frNone }
-
 // settleFault resolves the armed record against the line being evicted.
 // Called with the victim line just before it is written back/replaced.
 func (c *Cache) settleFault(victim *line) {
@@ -227,23 +223,17 @@ func planeBits(size uint32) uint32 {
 	return n
 }
 
-// InjectEntryFlip flips a tag bit of the TLB entry translating addr,
-// turning future lookups of that page into pseudo-misses (and possibly
-// aliased hits for another page). Translation timing is perturbed; the
-// architectural translation itself is identity-mapped in this machine
-// model, so the upset is timing-visible only. Returns false if no entry
-// covers addr (caller re-polls).
-func (t *TLB) InjectEntryFlip(addr uint32, bit uint8) bool {
-	page := addr / t.cfg.PageBytes
-	set := page & (t.sets - 1)
-	tag := page / t.sets
-	base := set * t.cfg.Assoc
-	for i := uint32(0); i < t.cfg.Assoc; i++ {
-		ln := &t.lines[base+i]
-		if ln.valid && ln.tag == tag {
-			ln.tag ^= 1 << (uint32(bit) % 16)
-			return true
-		}
+// InjectEntryFlip flips tag bit bit%16 of the TLB entry translating
+// addr, turning future lookups of that page into pseudo-misses (and
+// possibly aliased hits for another page). Translation timing is
+// perturbed; the architectural translation itself is identity-mapped
+// in this machine model, so the upset is timing-visible only and
+// leaves no residue record. Returns false if no entry covers addr
+// (caller re-polls).
+func (c *Cache) InjectEntryFlip(addr uint32, bit uint8) bool {
+	idx, ok := c.locate(addr)
+	if ok {
+		c.lines[idx].tag ^= 1 << (uint32(bit) % 16)
 	}
-	return false
+	return ok
 }

@@ -23,7 +23,7 @@ func (p *testPlane) word(addr uint32) uint32              { return p.words[addr/
 // tests share, attached to a fresh 1 KB plane.
 func injectCache(t *testing.T, ecc bool) (*Cache, *testPlane) {
 	t.Helper()
-	mm := NewMainMemory(10)
+	mm := MainMemory{Latency: 10}
 	c, err := NewCache(CacheConfig{
 		Name: "l1", SizeBytes: 256, BlockBytes: 32, Assoc: 2, HitLatency: 2, ECC: ecc,
 	}, mm)
@@ -46,7 +46,7 @@ func TestInjectDataFlipRevertsOnCleanEviction(t *testing.T) {
 	if got := p.word(4); got != orig^(1<<7) {
 		t.Fatalf("word after flip = %#x, want %#x", got, orig^(1<<7))
 	}
-	if !c.FaultArmed() {
+	if c.frec.kind == frNone {
 		t.Fatal("residue record should be armed")
 	}
 	// Evict the clean victim: set 0 holds {0x00}; fill the other way and
@@ -56,7 +56,7 @@ func TestInjectDataFlipRevertsOnCleanEviction(t *testing.T) {
 	if got := p.word(4); got != orig {
 		t.Errorf("clean eviction should revert flip: word = %#x, want %#x", got, orig)
 	}
-	if c.FaultArmed() {
+	if c.frec.kind != frNone {
 		t.Error("residue should be settled after eviction")
 	}
 }
@@ -73,7 +73,7 @@ func TestInjectDataFlipPersistsOnDirtyEviction(t *testing.T) {
 	if got := p.word(4); got != orig^(1<<3) {
 		t.Errorf("dirty eviction should persist flip: word = %#x, want %#x", got, orig^(1<<3))
 	}
-	if c.FaultArmed() {
+	if c.frec.kind != frNone {
 		t.Error("residue should be settled after eviction")
 	}
 }
@@ -87,7 +87,7 @@ func TestInjectDataFlipECCVerdicts(t *testing.T) {
 	if !fired || !corrected || detected {
 		t.Fatalf("single-bit under ECC = (%v,%v,%v), want (true,true,false)", fired, corrected, detected)
 	}
-	if p.word(4) != orig || c.FaultArmed() {
+	if p.word(4) != orig || c.frec.kind != frNone {
 		t.Fatal("corrected upset must not change the plane or arm a residue")
 	}
 	// Adjacent double-bit upset: applied and flagged detected-uncorrectable.
@@ -123,7 +123,7 @@ func TestInjectDirtyClearLostWriteBack(t *testing.T) {
 	if got := p.word(4); got != orig {
 		t.Errorf("lost write-back should revert the store: word = %#x, want %#x", got, orig)
 	}
-	if c.FaultArmed() {
+	if c.frec.kind != frNone {
 		t.Error("residue should be settled after eviction")
 	}
 }
@@ -157,7 +157,7 @@ func TestInjectDirtyClearFireRequiresDirtyResident(t *testing.T) {
 	if c.InjectDirtyClear(0, true) {
 		t.Fatal("fire on a clean line should fail")
 	}
-	if !c.FaultArmed() {
+	if c.frec.kind == frNone {
 		t.Error("record should remain pending until it fires")
 	}
 }
@@ -170,10 +170,10 @@ func TestInjectTagFlipAliasWriteBack(t *testing.T) {
 	if !c.InjectTagFlip(0, 0) {
 		t.Fatal("tag flip should fire on the resident line")
 	}
-	if c.Probe(0) {
+	if resident(c, 0) {
 		t.Error("original address should pseudo-miss after the flip")
 	}
-	if !c.Probe(0x80) {
+	if !resident(c, 0x80) {
 		t.Error("aliased address should wrong-line hit")
 	}
 	origBlock := make([]uint32, 8)
@@ -188,7 +188,7 @@ func TestInjectTagFlipAliasWriteBack(t *testing.T) {
 			t.Errorf("alias word %d = %#x, want %#x (orig block copied)", i, got, origBlock[i])
 		}
 	}
-	if c.FaultArmed() {
+	if c.frec.kind != frNone {
 		t.Error("residue should be settled after eviction")
 	}
 }
@@ -204,22 +204,6 @@ func TestInjectTagFlipCleanEvictionIsTimingOnly(t *testing.T) {
 	c.Access(0x180, false)
 	if got := p.word(0x80); got != aliasOrig {
 		t.Errorf("clean eviction must not touch the alias: word = %#x, want %#x", got, aliasOrig)
-	}
-}
-
-func TestFlushSettlesArmedFault(t *testing.T) {
-	c, p := injectCache(t, false)
-	orig := p.word(4)
-	c.Access(0, false)
-	if fired, _, _ := c.InjectDataFlip(4, 2); !fired {
-		t.Fatal("flip did not fire")
-	}
-	c.Flush()
-	if got := p.word(4); got != orig {
-		t.Errorf("flush of a clean line should revert the flip: word = %#x, want %#x", got, orig)
-	}
-	if c.FaultArmed() {
-		t.Error("flush should settle the residue")
 	}
 }
 
@@ -247,8 +231,7 @@ func TestCloneDeepCopiesFaultRec(t *testing.T) {
 	c.Access(0, true)
 	c.InjectDirtyClear(0, true)
 
-	mm := NewMainMemory(10)
-	cp := c.CloneInto(nil, mm)
+	cp := c.CloneInto(nil)
 	cp.SetWordPlane(p)
 	if !c.StateEqualOn(cp, nil) {
 		t.Fatal("clone should be state-equal to its source")
@@ -265,10 +248,10 @@ func TestCloneDeepCopiesFaultRec(t *testing.T) {
 	// The clone settles independently of the source.
 	cp.Access(0x80, false)
 	cp.Access(0x100, false)
-	if cp.FaultArmed() {
+	if cp.frec.kind != frNone {
 		t.Error("clone residue should settle on its own eviction")
 	}
-	if !c.FaultArmed() {
+	if c.frec.kind == frNone {
 		t.Error("source residue must survive the clone's eviction")
 	}
 }
@@ -310,14 +293,14 @@ func TestTLBInjectEntryFlip(t *testing.T) {
 	if tlb.InjectEntryFlip(0, 1) {
 		t.Fatal("flip on an empty TLB should miss")
 	}
-	tlb.Translate(0)
-	if lat := tlb.Translate(0); lat != 0 {
+	tlb.Access(0, false)
+	if lat := tlb.Access(0, false); lat != 0 {
 		t.Fatalf("warm translate = %d, want 0", lat)
 	}
 	if !tlb.InjectEntryFlip(0, 1) {
 		t.Fatal("flip should hit the resident entry")
 	}
-	if lat := tlb.Translate(0); lat != 30 {
+	if lat := tlb.Access(0, false); lat != 30 {
 		t.Errorf("post-flip translate = %d, want 30 (pseudo-miss)", lat)
 	}
 }

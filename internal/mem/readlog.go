@@ -149,13 +149,6 @@ func (c *Cache) StateEqualOn(o *Cache, rl *ReadLog) bool {
 	return linesEqualOn(c.lines, o.lines, c.cfg.Assoc, rl)
 }
 
-// StateEqualOn reports whether the TLB behaves identically to o, the
-// golden TLB whose suffix rl logged, for every lookup of that suffix
-// (nil rl: for any lookup stream).
-func (t *TLB) StateEqualOn(o *TLB, rl *ReadLog) bool {
-	return t.cfg == o.cfg && linesEqualOn(t.lines, o.lines, t.cfg.Assoc, rl)
-}
-
 // live reports whether a fault record can still act during a suffix
 // logged in rl: it is armed, and either pending (it may yet fire) or
 // its set sees a miss (it may settle). With a nil rl every armed

@@ -6,7 +6,7 @@ import "testing"
 // installed and returns the log: what that future of g observes. g
 // itself keeps its boundary state.
 func suffix(g *Cache, fn func(future *Cache)) *ReadLog {
-	future := g.CloneInto(nil, NewMainMemory(10))
+	future := g.CloneInto(nil)
 	rl := newReadLog(g.sets, g.cfg.Assoc)
 	future.log = rl
 	fn(future)
@@ -44,7 +44,7 @@ func TestSetsCompareWayOrderFree(t *testing.T) {
 	if a.StateEqualOn(c, nil) {
 		t.Error("sets with different recency order should compare unequal")
 	}
-	d := b.CloneInto(nil, NewMainMemory(10))
+	d := b.CloneInto(nil)
 	d.lines[1].dirty = true // the older line would write back on eviction
 	if a.StateEqualOn(d, nil) || a.StateEqualOn(d, missed) {
 		t.Error("sets differing in a dirty bit should compare unequal")
@@ -57,7 +57,7 @@ func TestHitOnlySetComparesHitTags(t *testing.T) {
 	g, _ := injectCache(t, false)
 	g.Access(0x00, true)
 	g.Access(0x80, false)
-	trial := g.CloneInto(nil, NewMainMemory(10))
+	trial := g.CloneInto(nil)
 	trial.Access(0x100, false) // evicts 0x00 (dirty) in the trial only
 
 	hitsNewer := suffix(g, func(f *Cache) { f.Access(0x80, false) })
@@ -79,7 +79,7 @@ func TestHitOnlySetComparesHitTags(t *testing.T) {
 func TestResidueInertOnlyInHitOnlySets(t *testing.T) {
 	g, p := injectCache(t, false)
 	g.Access(0x00, false)
-	trial := g.CloneInto(nil, NewMainMemory(10))
+	trial := g.CloneInto(nil)
 	trial.SetWordPlane(p)
 	if fired, _, _ := trial.InjectDataFlip(4, 2); !fired {
 		t.Fatal("flip did not fire")
@@ -102,10 +102,10 @@ func TestResidueInertOnlyInHitOnlySets(t *testing.T) {
 func TestPendingLostWriteBackAlwaysBlocks(t *testing.T) {
 	g, p := injectCache(t, false)
 	g.Access(0x00, false)
-	trial := g.CloneInto(nil, NewMainMemory(10))
+	trial := g.CloneInto(nil)
 	trial.SetWordPlane(p)
 	trial.InjectDirtyClear(0x00, false)
-	if !trial.FaultArmed() {
+	if trial.frec.kind == frNone {
 		t.Fatal("setup: record not armed")
 	}
 	if trial.StateEqualOn(g, suffix(g, func(*Cache) {})) {
@@ -121,17 +121,13 @@ func TestTLBRefilledFlipInHitOnlySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Translate(0)
+	g.Access(0, false)
 	trial := g.CloneInto(nil)
 	if !trial.InjectEntryFlip(0, 1) {
 		t.Fatal("flip did not fire")
 	}
-	trial.Translate(0) // pseudo-miss: the good tag refills another way
-	rl := newReadLog(g.sets, g.cfg.Assoc)
-	future := g.CloneInto(nil)
-	future.log = rl
-	future.Translate(0)
-	if !trial.StateEqualOn(g, rl) {
+	trial.Access(0, false) // pseudo-miss: the good tag refills another way
+	if rl := suffix(g, func(f *Cache) { f.Access(0, false) }); !trial.StateEqualOn(g, rl) {
 		t.Error("flipped entry in a hit-only set should not be observed")
 	}
 	if trial.StateEqualOn(g, nil) {

@@ -27,63 +27,21 @@ func (c TLBConfig) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("tlb %s: set count %d not a power of two", c.Name, sets)
 	}
+	if c.MissLatency < 0 {
+		return fmt.Errorf("tlb %s: miss latency %d < 0", c.Name, c.MissLatency)
+	}
 	return nil
 }
 
-// TLB models translation timing: a hit is free (folded into the cache
-// access), a miss adds MissLatency cycles.
-type TLB struct {
-	cfg   TLBConfig
-	sets  uint32
-	lines []line
-	clock uint64
-	stats CacheStats
-	log   *ReadLog // see Cache.log
-}
-
-// NewTLB builds a TLB.
-func NewTLB(cfg TLBConfig) (*TLB, error) {
+// NewTLB builds a TLB: a read-only cache of page-sized blocks with a
+// free hit (folded into the cache access) whose next level is the page
+// walk, so a miss adds MissLatency cycles. Its reach (Entries ×
+// PageBytes) may exceed 32 bits; the geometry is built from the set
+// count and the page size alone.
+func NewTLB(cfg TLBConfig) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := cfg.Entries / cfg.Assoc
-	return &TLB{cfg: cfg, sets: sets, lines: make([]line, cfg.Entries)}, nil
-}
-
-// Stats returns the TLB's counters.
-func (t *TLB) Stats() CacheStats { return t.stats }
-
-// Translate looks up the page containing addr, returning the added
-// latency (0 on a hit, MissLatency on a miss).
-func (t *TLB) Translate(addr uint32) int {
-	t.stats.Accesses++
-	t.clock++
-	page := addr / t.cfg.PageBytes
-	set := page & (t.sets - 1)
-	tag := page / t.sets
-	base := set * t.cfg.Assoc
-	for i := uint32(0); i < t.cfg.Assoc; i++ {
-		ln := &t.lines[base+i]
-		if ln.valid && ln.tag == tag {
-			t.stats.Hits++
-			if t.log != nil {
-				t.log.hit.set(base + i)
-			}
-			ln.lru = t.clock
-			return 0
-		}
-	}
-	t.stats.Misses++
-	if t.log != nil {
-		t.log.missed.set(set)
-	}
-	victim := &t.lines[base]
-	for i := uint32(1); i < t.cfg.Assoc && victim.valid; i++ {
-		ln := &t.lines[base+i]
-		if !ln.valid || ln.lru < victim.lru {
-			victim = ln
-		}
-	}
-	*victim = line{tag: tag, valid: true, lru: t.clock}
-	return t.cfg.MissLatency
+	geom := CacheConfig{Name: cfg.Name, BlockBytes: cfg.PageBytes, Assoc: cfg.Assoc}
+	return newCache(geom, cfg.Entries/cfg.Assoc, MainMemory{Latency: cfg.MissLatency}), nil
 }

@@ -540,19 +540,37 @@ func TestRunRejectsBadCacheGeometry(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	m := config.Starting()
 	m.Memory.L2.BlockBytes = 48
+	if status, body := postRun(t, ts.URL, m); status != http.StatusBadRequest || !strings.Contains(body, "block size 48") {
+		t.Errorf("L2 BlockBytes 48: status %d body %s, want 400 naming the block size", status, body)
+	}
+}
+
+// A negative page-walk cost is a request error, not a run whose first
+// TLB miss completes at a wrapped cycle and reports a hang.
+func TestRunRejectsNegativeTLBMissLatency(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	m := config.Starting()
+	m.Memory.ITLB.MissLatency, m.Memory.DTLB.MissLatency = -1000, -1000
+	if status, body := postRun(t, ts.URL, m); status != http.StatusBadRequest || !strings.Contains(body, "miss latency -1000") {
+		t.Errorf("TLB MissLatency -1000: status %d body %s, want 400 naming the latency", status, body)
+	}
+}
+
+// postRun submits a short gcc run on machine m and returns the status
+// and body.
+func postRun(t *testing.T, url string, m config.Machine) (int, string) {
+	t.Helper()
 	raw, err := json.Marshal(RunRequest{Workload: "gcc", Insts: 1000, Machine: &m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/run?wait=10s", "application/json", strings.NewReader(string(raw)))
+	resp, err := http.Post(url+"/v1/run?wait=10s", "application/json", strings.NewReader(string(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "block size 48") {
-		t.Errorf("L2 BlockBytes 48: status %d body %s, want 400 naming the block size", resp.StatusCode, body)
-	}
+	return resp.StatusCode, string(body)
 }
 
 // TestHealthzAndBadRequests covers the probe and input validation.
